@@ -13,10 +13,14 @@ transparency.
 
 *Tight numeric bounds.*  The exact extremal curves are inverted
 numerically: the lower bound bisects the strictly increasing maximum
-entropy ``H_max(pi)``; the upper bound scans a grid of the exact discrete
-minimum ``H_min(pi)`` and refines the crossing by bisection.  The upper
-inversion is heuristic-tight: monotonicity of ``H_min`` is unproven, and
-the grid scan is what covers a hypothetical non-monotone stretch.
+entropy ``H_max(pi)``; the upper bound bisects the exact discrete minimum
+``H_min(pi)``, which is non-decreasing.  Take any feasible ``p`` with tail
+mass ``pi' > pi`` and move ``pi' - pi`` from its smallest tail entries
+onto ``p[0]``: the result is still sorted, has tail mass ``pi`` and
+majorizes ``p``, so its entropy is no higher.  Hence
+``H_min(pi) <= H_min(pi')``, and ``{pi : H_min(pi) <= h}`` is an interval
+starting at 0 whose right end the bisection finds.  The ``grid`` and
+``tight_grid`` parameters are accepted for compatibility and ignored.
 
 Merit-probability bounds are exact complements of the opposite error
 bounds, clamped into ``[m/n, 1]``.
@@ -42,7 +46,6 @@ from .transform import transform_repeated, transform_unique
 from .extrema import (
     _index_bound,
     max_entropy_value,
-    min_entropy_value,
     min_entropy_values,
 )
 
@@ -150,22 +153,13 @@ def flawed_pi_lower_bound(n: int, m: int, h: float) -> float:
 
 
 class TightInverter:
-    """Numeric inversion of the exact extremal-entropy curves for (n, m).
-
-    Caches a grid of the discrete minimum entropy so repeated queries at
-    the same shape (as in sweeps) stay cheap.
-    """
+    """Numeric inversion of the exact extremal-entropy curves for (n, m)."""
 
     def __init__(self, n: int, m: int, grid: int = 4096):
         validate_counts(n, m)
-        if grid < 2:
-            grid = 2
         self.n = int(n)
         self.m = int(m)
-        self.grid = int(grid)
         self.pi_top = (n - m) / n
-        self._grid_pis = np.linspace(0.0, self.pi_top, self.grid)
-        self._grid_hmin = min_entropy_values(self.n, self.m, self._grid_pis)
 
     def lower(self, h: float) -> float:
         """Least tail mass whose maximum entropy reaches h."""
@@ -183,25 +177,26 @@ class TightInverter:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def upper(self, h: float) -> float:
-        """Greatest tail mass whose minimum entropy stays at or below h."""
-        n, m = self.n, self.m
-        if m == n:
-            return 0.0
-        if h <= _INVERSION_EPS:  # any positive tail forces positive entropy
-            return 0.0
-        ok = self._grid_hmin <= h + _INVERSION_EPS
-        idx = int(np.nonzero(ok)[0][-1])  # index 0 always qualifies (H_min(0)=0)
-        if idx == self.grid - 1:
-            return self.pi_top
-        lo, hi = float(self._grid_pis[idx]), float(self._grid_pis[idx + 1])
-        while hi - lo > _INVERSION_EPS:
-            mid = 0.5 * (lo + hi)
-            if min_entropy_value(n, m, mid) <= h + _INVERSION_EPS:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    def upper(self, h):
+        """Greatest tail mass whose minimum entropy stays at or below h.
+
+        ``h`` is a float (returns a float) or a 1-D array (returns an
+        array).  Every element is bisected from the same bracket
+        ``[0, pi_top]`` and stops on its own width, so a batched answer
+        equals the scalar one bit for bit.
+        """
+        hs = np.atleast_1d(np.asarray(h, dtype=float))
+        target = hs + _INVERSION_EPS
+        h_top = min_entropy_values(self.n, self.m, np.atleast_1d(self.pi_top))
+        small = hs <= _INVERSION_EPS  # any positive tail forces positive entropy
+        lo = np.where(~small & (h_top <= target), self.pi_top, 0.0)
+        hi = np.where(small, 0.0, self.pi_top)
+        while (idx := np.flatnonzero(hi - lo > _INVERSION_EPS)).size:
+            mid = 0.5 * (lo[idx] + hi[idx])
+            ok = min_entropy_values(self.n, self.m, mid) <= target[idx]
+            lo[idx[ok]] = mid[ok]
+            hi[idx[~ok]] = mid[~ok]
+        return lo if np.ndim(h) else float(lo[0])
 
 
 def pi_bounds_tight(
@@ -216,7 +211,7 @@ def pi_bounds_tight(
     validate_counts(n, m)
     h = _check_entropy(n, h, tol)
     if inverter is None:
-        inverter = TightInverter(n, m, grid)
+        inverter = TightInverter(n, m)
     return inverter.lower(h), inverter.upper(h)
 
 
@@ -326,7 +321,7 @@ def build_report(
     if ub < lb:
         ub = lb
         clamped.append("pi_ub_analytic_at_floor")
-    lb_tight, ub_tight = pi_bounds_tight(n, m, h, tight_grid, tol, inverter)
+    lb_tight, ub_tight = pi_bounds_tight(n, m, h, tol=tol, inverter=inverter)
     psi_lb = min(max(1.0 - ub, m / n), 1.0)
     psi_ub = min(max(1.0 - lb, m / n), 1.0)
     return BoundReport(
@@ -383,7 +378,6 @@ def bounds_for_k(
         k=k,
         mode=mode,
         include_flawed=include_flawed,
-        tight_grid=tight_grid,
         tol=tol,
         pi_observed=tail_probability(ts.dist, ts.m_prime),
         selection_mismatch=ts.selection_mismatch,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .core import (
     DEFAULT_TOLERANCE,
     SystemShape,
     entropy,
+    format_number,
     make_distribution,
     read_weights,
     tail_probability,
@@ -56,10 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
@@ -85,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output encoding (default json)")
     common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     common.add_argument("--seed", type=int, default=None, help="override the random seed")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for sweep/scenario trials")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored")
     common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="numeric tolerance for feasibility and bound checks")
 
@@ -111,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-flawed", action="store_true",
                    help="also report the uncorrected lower-bound formula")
     p.add_argument("--tight-grid", type=int, default=4096,
-                   help="grid size for the tight upper-bound inversion")
+                   help="accepted for compatibility and ignored")
 
     p = sub.add_parser(
         "extrema", parents=[common],
@@ -180,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--config", metavar="FILE", required=True)
-    p.add_argument("--tight-grid", type=int, default=4096)
+    p.add_argument("--tight-grid", type=int, default=4096,
+                   help="accepted for compatibility and ignored")
 
     p = sub.add_parser(
         "oracle-check", parents=[common],
@@ -223,14 +220,12 @@ def _cmd_bounds(args) -> tuple[str, str | None]:
                 raise _UsageError("--mode is required when --k > 1")
             report = bounds_for_k(
                 dist, args.m, args.k, args.mode,
-                include_flawed=args.compare_flawed,
-                tight_grid=args.tight_grid, tol=args.tolerance,
+                include_flawed=args.compare_flawed, tol=args.tolerance,
             )
         else:
             report = build_report(
                 dist.n, args.m, entropy(dist), k=1, mode="direct",
-                include_flawed=args.compare_flawed,
-                tight_grid=args.tight_grid, tol=args.tolerance,
+                include_flawed=args.compare_flawed, tol=args.tolerance,
                 pi_observed=tail_probability(dist, args.m),
             )
     else:
@@ -239,23 +234,22 @@ def _cmd_bounds(args) -> tuple[str, str | None]:
         _require(args, ["n", "entropy"])
         report = build_report(
             args.n, args.m, args.entropy, k=1, mode="direct",
-            include_flawed=args.compare_flawed,
-            tight_grid=args.tight_grid, tol=args.tolerance,
+            include_flawed=args.compare_flawed, tol=args.tolerance,
         )
     if args.format == "json":
         return _json(report.to_dict()), None
     d = report.to_dict()
     cols = ["n", "m", "k", "mode", "entropy_bits"]
-    vals = [str(d["n"]), str(d["m"]), str(d["k"]), d["mode"], _fmt(d["entropy_bits"])]
+    vals = [str(d["n"]), str(d["m"]), str(d["k"]), d["mode"], format_number(d["entropy_bits"])]
     for key, value in d["pi"].items():
         cols.append(f"pi_{key}")
-        vals.append(_fmt(value))
+        vals.append(format_number(value))
     for key, value in d["psi"].items():
         cols.append(f"psi_{key}")
-        vals.append(_fmt(value))
+        vals.append(format_number(value))
     if "pi_observed" in d:
         cols.append("pi_observed")
-        vals.append(_fmt(d["pi_observed"]))
+        vals.append(format_number(d["pi_observed"]))
     cols.append("clamped")
     vals.append(";".join(d["clamped"]))
     return ",".join(cols) + "\n" + ",".join(vals) + "\n", None
@@ -286,10 +280,10 @@ def _cmd_extrema(args) -> tuple[str, str | None]:
     if args.format == "json":
         return _json(meta), None
     lines = [
-        f"# which={args.which} n={shape.n} m={shape.m} pi={_fmt(shape.pi)} "
-        f"entropy_bits={_fmt(bits)}"
+        f"# which={args.which} n={shape.n} m={shape.m} pi={format_number(shape.pi)} "
+        f"entropy_bits={format_number(bits)}"
     ]
-    lines.extend(_fmt(p) for p in dist.probs)
+    lines.extend(format_number(p) for p in dist.probs)
     return "\n".join(lines) + "\n", None
 
 
@@ -308,7 +302,10 @@ def _cmd_curve(args) -> tuple[str, str | None]:
     lines = ["p_hat,entropy_bits,segment_index,is_junction"]
     for s in samples:
         flag = "true" if s.is_junction else "false"
-        lines.append(f"{_fmt(s.p_hat)},{_fmt(s.entropy_bits)},{s.segment_index},{flag}")
+        lines.append(
+            f"{format_number(s.p_hat)},{format_number(s.entropy_bits)},"
+            f"{s.segment_index},{flag}"
+        )
     return "\n".join(lines) + "\n", None
 
 
@@ -335,7 +332,7 @@ def _cmd_transform(args) -> tuple[str, str | None]:
     lines = ["# " + json.dumps(header), "composite_ids,probability,in_selected_set"]
     for ids, p, flag in zip(ts.composite_index, ts.dist.probs, ts.in_selected):
         tag = "true" if flag else "false"
-        lines.append("+".join(str(int(i)) for i in ids) + f",{_fmt(p)},{tag}")
+        lines.append("+".join(str(int(i)) for i in ids) + f",{format_number(p)},{tag}")
     return "\n".join(lines) + "\n", None
 
 
@@ -353,7 +350,7 @@ def _cmd_sweep(args) -> tuple[str, str | None]:
             config = dataclasses.replace(config, seed=args.seed)
         if args.scenarios is not None:
             config = dataclasses.replace(config, scenarios_per_shape=args.scenarios)
-    records, summary = run_sweep(config, threads=max(1, args.threads), tol=args.tolerance)
+    records, summary = run_sweep(config, tol=args.tolerance)
     summary_text = json.dumps(summary) + "\n"
     if args.summary_out:
         Path(args.summary_out).write_text(summary_text, encoding="utf-8")
@@ -382,7 +379,7 @@ def _cmd_scenario(args) -> tuple[str, str | None]:
     cfg = parse_scenario_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    report = run_scenario(cfg, tol=args.tolerance, tight_grid=args.tight_grid)
+    report = run_scenario(cfg, tol=args.tolerance)
     return _json(report.to_dict()), None
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     AllZeroError,
+    BadConfigError,
     BadMError,
     InfeasibleError,
     InvalidEntryError,
@@ -130,7 +131,7 @@ class SortedDistribution:
         return out
 
 
-def make_distribution(raw, tol: float = DEFAULT_TOLERANCE) -> SortedDistribution:
+def make_distribution(raw) -> SortedDistribution:
     """Normalize raw non-negative scores and sort them descending.
 
     The sort is stable, so equal scores keep their input order and the
@@ -258,3 +259,30 @@ def parse_weights(text: str) -> np.ndarray:
 def read_weights(path) -> np.ndarray:
     """Read raw weights from a file (see :func:`parse_weights`)."""
     return parse_weights(Path(path).read_text(encoding="utf-8"))
+
+
+def parse_key_values(text: str, known: set[str]) -> dict[str, str]:
+    """Parse a flat ``key = value`` document (``#`` comments) into raw fields.
+
+    A line without ``=``, a repeated key or a key outside ``known`` raises.
+    """
+    fields: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        payload = line.split("#", 1)[0].strip()
+        if not payload:
+            continue
+        if "=" not in payload:
+            raise BadConfigError(f"line {lineno}: expected key=value, got {payload!r}")
+        key, value = (part.strip() for part in payload.split("=", 1))
+        if key in fields:
+            raise BadConfigError(f"line {lineno}: duplicate key {key!r}")
+        fields[key] = value
+    unknown = set(fields) - known
+    if unknown:
+        raise BadConfigError(f"unknown config keys: {sorted(unknown)}")
+    return fields
+
+
+def format_number(value: float) -> str:
+    """Render a number for CSV output with 12 significant digits."""
+    return format(float(value), ".12g")

@@ -241,8 +241,8 @@ def min_entropy_values(n: int, m: int, pis: np.ndarray) -> np.ndarray:
 
     Closed-form evaluation of the candidate entropies (no distributions are
     materialized); agrees with :func:`min_entropy` within tolerance, which
-    the test suite checks by assembling.  Used by grid scans that invert
-    the minimum-entropy curve.
+    the test suite checks by assembling.  Used by the bisection that
+    inverts the minimum-entropy curve.
     """
     pis = np.clip(np.asarray(pis, dtype=float), 0.0, (n - m) / n)
     out = np.zeros(pis.shape)

@@ -10,9 +10,9 @@ machinery they double-check.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +25,9 @@ from .core import (
     SystemShape,
     entropy,
     entropy_bits,
+    format_number,
     make_distribution,
+    parse_key_values,
     tail_probability,
 )
 from .errors import BadConfigError, NumericFailureError, TooLargeError
@@ -119,21 +121,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
     ``seed``, ``sampler`` (``dirichlet_symmetric`` or ``spiky``), ``alpha``.
     Unknown keys are errors.
     """
-    fields: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        payload = line.split("#", 1)[0].strip()
-        if not payload:
-            continue
-        if "=" not in payload:
-            raise BadConfigError(f"line {lineno}: expected key=value, got {payload!r}")
-        key, value = (part.strip() for part in payload.split("=", 1))
-        if key in fields:
-            raise BadConfigError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = value
-    known = {"shapes", "scenarios_per_shape", "seed", "sampler", "alpha"}
-    unknown = set(fields) - known
-    if unknown:
-        raise BadConfigError(f"unknown config keys: {sorted(unknown)}")
+    fields = parse_key_values(
+        text, {"shapes", "scenarios_per_shape", "seed", "sampler", "alpha"}
+    )
     if "shapes" not in fields:
         raise BadConfigError("missing required config key 'shapes'")
     shapes = []
@@ -206,6 +196,7 @@ def _sweep_shape(
     inverter = TightInverter(n, m)
     top = math.log2(n)
     out = []
+    pending = []  # (index into out, clamped entropy) awaiting the tight upper bound
     for scenario_id in range(config.scenarios_per_shape):
         rng = derive_rng(config.seed, shape_index, scenario_id)
         try:
@@ -216,27 +207,33 @@ def _sweep_shape(
             lb = pi_lower_bound(n, m, h_c, tol)
             ub = pi_upper_bound(n, m, h_c, tol)
             lt = inverter.lower(h_c)
-            ut = inverter.upper(h_c)
-            violation = not (lb - tol <= pi_obs <= ub + tol)
-            out.append(
-                SweepRecord(scenario_id, n, m, h, pi_obs, lb, ub, lt, ut, violation)
-            )
         except Exception:  # failures are data; the sweep never aborts
             out.append(_nan_record(scenario_id, n, m))
+            continue
+        violation = not (lb - tol <= pi_obs <= ub + tol)
+        pending.append((len(out), h_c))
+        out.append(
+            SweepRecord(scenario_id, n, m, h, pi_obs, lb, ub, lt, math.nan, violation)
+        )
+    try:
+        uts = inverter.upper(np.array([h_c for _, h_c in pending], dtype=float))
+    except Exception:  # one batched inversion per shape: it fails the whole shape
+        return [_nan_record(i, n, m) for i in range(config.scenarios_per_shape)]
+    for (index, _), ut in zip(pending, uts.tolist()):
+        out[index] = dataclasses.replace(out[index], pi_ub_tight=ut)
     return out
 
 
 def run_sweep(
     config: SweepConfig, threads: int = 1, tol: float = DEFAULT_TOLERANCE
 ) -> tuple[list[SweepRecord], dict]:
-    """Execute the sweep; returns (records sorted by shape/scenario, summary)."""
-    indices = range(len(config.shapes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda i: _sweep_shape(config, i, tol), indices))
-    else:
-        chunks = [_sweep_shape(config, i, tol) for i in indices]
-    records = [rec for chunk in chunks for rec in chunk]
+    """Execute the sweep; returns (records sorted by shape/scenario, summary).
+
+    ``threads`` is accepted for compatibility and ignored.
+    """
+    records = [
+        rec for i in range(len(config.shapes)) for rec in _sweep_shape(config, i, tol)
+    ]
     return records, summarize(records)
 
 
@@ -304,34 +301,22 @@ def summarize(records: list[SweepRecord]) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
-
-
 def records_to_csv(records: list[SweepRecord]) -> str:
     """Render sweep records as CSV (stable header, 12 significant digits)."""
     lines = [SWEEP_CSV_HEADER]
     for r in records:
+        values = (
+            r.entropy_bits,
+            r.pi_observed,
+            r.pi_lb_analytic,
+            r.pi_ub_analytic,
+            r.pi_lb_tight,
+            r.pi_ub_tight,
+        )
         lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.scenario_id,
-                    r.n,
-                    r.m,
-                    r.entropy_bits,
-                    r.pi_observed,
-                    r.pi_lb_analytic,
-                    r.pi_ub_analytic,
-                    r.pi_lb_tight,
-                    r.pi_ub_tight,
-                    r.violation,
-                )
-            )
+            f"{r.scenario_id},{r.n},{r.m},"
+            + ",".join(format_number(v) for v in values)
+            + (",true" if r.violation else ",false")
         )
     return "\n".join(lines) + "\n"
 

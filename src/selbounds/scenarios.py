@@ -26,6 +26,7 @@ from .core import (
     SortedDistribution,
     entropy,
     make_distribution,
+    parse_key_values,
     read_weights,
     tail_probability,
 )
@@ -92,21 +93,10 @@ def parse_scenario_config(text: str, base_dir=None) -> ScenarioConfig:
     ``weights_file``, ``trials``, ``seed``, ``threshold_note``.  Blank
     lines and ``#`` comments are ignored; unknown keys are errors.
     """
-    fields: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        payload = line.split("#", 1)[0].strip()
-        if not payload:
-            continue
-        if "=" not in payload:
-            raise BadConfigError(f"line {lineno}: expected key=value, got {payload!r}")
-        key, value = (part.strip() for part in payload.split("=", 1))
-        if key in fields:
-            raise BadConfigError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = value
-    known = {"kind", "n", "m", "k", "zipf_s", "weights_file", "trials", "seed", "threshold_note"}
-    unknown = set(fields) - known
-    if unknown:
-        raise BadConfigError(f"unknown config keys: {sorted(unknown)}")
+    fields = parse_key_values(
+        text,
+        {"kind", "n", "m", "k", "zipf_s", "weights_file", "trials", "seed", "threshold_note"},
+    )
     for required in ("kind", "n", "m"):
         if required not in fields:
             raise BadConfigError(f"missing required config key {required!r}")
@@ -246,7 +236,7 @@ def cache_scenario(
         exact = tail_probability(dist, cfg.m)
         report = build_report(
             cfg.n, cfg.m, entropy(dist), k=1, mode="direct",
-            tight_grid=tight_grid, tol=tol, pi_observed=exact,
+            tol=tol, pi_observed=exact,
         )
         if cfg.trials > 0:
             draws = rng.choice(cfg.n, size=cfg.trials, p=np.asarray(dist.probs))
@@ -261,7 +251,7 @@ def cache_scenario(
             if cfg.trials > 0:
                 empirical = 1.0 - _sample_hits_repeated(dist, cfg.m, cfg.k, cfg.trials, rng)
         exact = 1.0 - ts.selected_probability
-        report = _transformed_report(ts, cfg.k, tight_grid, tol)
+        report = _transformed_report(ts, cfg.k, tol)
     return ScenarioReport(
         kind=cfg.kind,
         orientation="error",
@@ -289,7 +279,7 @@ def scheduling_scenario(
     rng = derive_rng(cfg.seed, 0)
     selected = tuple(int(i) for i in dist.original_index[: cfg.m])
     ts = transform_unique(dist, cfg.m, cfg.m, tol)
-    report = _transformed_report(ts, cfg.m, tight_grid, tol)
+    report = _transformed_report(ts, cfg.m, tol)
     empirical = None
     if cfg.trials > 0:
         empirical = _sample_hits_unique(dist, cfg.m, cfg.m, cfg.trials, rng)
@@ -305,16 +295,13 @@ def scheduling_scenario(
     )
 
 
-def _transformed_report(
-    ts: TransformedSystem, k: int, tight_grid: int, tol: float
-) -> BoundReport:
+def _transformed_report(ts: TransformedSystem, k: int, tol: float) -> BoundReport:
     return build_report(
         ts.n_prime,
         ts.m_prime,
         entropy(ts.dist),
         k=k,
         mode=ts.mode,
-        tight_grid=tight_grid,
         tol=tol,
         pi_observed=tail_probability(ts.dist, ts.m_prime),
         selection_mismatch=ts.selection_mismatch,
@@ -324,7 +311,7 @@ def _transformed_report(
 def run_scenario(
     cfg: ScenarioConfig, tol: float = DEFAULT_TOLERANCE, tight_grid: int = 4096
 ) -> ScenarioReport:
-    """Dispatch a scenario config to its handler."""
+    """Dispatch a scenario config to its handler (``tight_grid`` is ignored)."""
     if cfg.kind == "scheduling":
-        return scheduling_scenario(cfg, tol, tight_grid)
-    return cache_scenario(cfg, tol, tight_grid)
+        return scheduling_scenario(cfg, tol)
+    return cache_scenario(cfg, tol)

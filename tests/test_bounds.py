@@ -143,6 +143,51 @@ class TestTightBounds:
             assert got == pytest.approx(mp_invert_max_entropy(n, m, h), abs=1e-8)
 
 
+class TestTightUpperInversion:
+    """The upper tight bound bisects H_min, which must be non-decreasing."""
+
+    @staticmethod
+    def _shapes(rng):
+        shapes = [(2, 1), (9, 1), (60, 1), (9, 8), (60, 59), (300, 1), (300, 299)]
+        for _ in range(10):
+            n = int(rng.integers(3, 200))
+            shapes.append((n, int(rng.integers(1, n))))
+        return shapes
+
+    def test_min_entropy_non_decreasing(self, rng):
+        for n, m in self._shapes(rng):
+            pis = np.linspace(0.0, (n - m) / n, 20001)
+            steps = np.diff(sb.min_entropy_values(n, m, pis))
+            # float noise below the inversion tolerance would be harmless
+            assert steps.min() >= -1e-12, (n, m)
+
+    def test_upper_inside_brute_force_bracket(self, rng):
+        for n in range(2, 13):
+            for m in range(1, n + 1):
+                top = (n - m) / n
+                pis = np.linspace(0.0, top, 20001)
+                hmin = sb.min_entropy_values(n, m, pis)
+                hs = [0.0, math.log2(n), *rng.uniform(0.0, math.log2(n), 6)]
+                inverter = sb.TightInverter(n, m)
+                for h in hs:
+                    idx = int(np.flatnonzero(hmin <= h + 1e-12)[-1])
+                    lo = pis[idx]
+                    hi = pis[idx + 1] if idx + 1 < pis.size else top
+                    got = inverter.upper(float(h))
+                    assert lo - 1e-12 <= got <= hi + 1e-12, (n, m, h)
+
+    def test_batched_equals_scalar(self, rng):
+        for n, m in self._shapes(rng) + [(7, 7)]:
+            top = math.log2(n)
+            hs = np.concatenate([[0.0, 1e-13, top], rng.uniform(0.0, top, 20)])
+            inverter = sb.TightInverter(n, m)
+            batch = inverter.upper(hs)
+            assert isinstance(batch, np.ndarray) and batch.shape == hs.shape
+            scalar = [inverter.upper(float(h)) for h in hs]
+            assert all(isinstance(v, float) for v in scalar)
+            assert batch.tolist() == scalar, (n, m)
+
+
 class TestMeritBounds:
     def test_complement_of_reference(self):
         lb, ub = sb.merit_bounds_k1(20, 6, 4.0)

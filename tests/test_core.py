@@ -174,3 +174,24 @@ class TestWeightParsing:
     def test_empty(self):
         with pytest.raises(sb.InvalidEntryError):
             sb.parse_weights("# nothing here\n")
+
+
+class TestKeyValueConfig:
+    """Both config formats share one key=value reader and its messages."""
+
+    @pytest.mark.parametrize(
+        "parse", [sb.parse_sweep_config, sb.parse_scenario_config],
+        ids=["sweep", "scenario"],
+    )
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed = 1\nno equals sign\n", "line 2: expected key=value"),
+            ("# dup\nseed = 1\nseed = 2\n", "line 3: duplicate key 'seed'"),
+            ("seed = 1\nbogus = 1 # trailing\n", r"unknown config keys: \['bogus'\]"),
+        ],
+        ids=["no-equals", "duplicate", "unknown"],
+    )
+    def test_malformed_input_rejected(self, parse, text, message):
+        with pytest.raises(sb.BadConfigError, match=message):
+            parse(text)
