@@ -19,6 +19,11 @@ whose first ``m`` entries sum to ``1 - pi`` and last ``n - m`` sum to
   many ``p_hat`` values form the candidate set, and the minimization is an
   exact discrete search.
 
+For ``m >= 2`` every candidate entropy, whether a search candidate, a curve
+point or the right endpoint inside :func:`min_entropy_values`, comes from
+one closed-form kernel over one tail split, so no n-length distribution is
+built per candidate; only the distribution a caller reads is assembled.
+
 The number of interior junctions is
 ``ceil((n - m - n*pi)/(1 - pi))`` clamped to ``[0, n - m]``.
 """
@@ -35,8 +40,6 @@ from .core import (
     ZERO_FLOOR,
     SortedDistribution,
     SystemShape,
-    entropy,
-    entropy_bits,
 )
 from .errors import BadConfigError, BadMError, BadPHatError, InfeasibleError
 
@@ -72,6 +75,16 @@ def max_entropy(shape: SystemShape) -> float:
     return max_entropy_value(shape.n, shape.m, shape.pi)
 
 
+def _staircase(n: int, pi: float) -> tuple[float, int, float]:
+    """``(step, copies, remainder)`` of the m = 1 staircase, for pi > 0."""
+    step = 1.0 - pi
+    copies = min(int(1.0 / step + REMAINDER_SNAP), n)
+    remainder = 1.0 - copies * step
+    if remainder < REMAINDER_SNAP:
+        remainder = 0.0
+    return step, copies, remainder
+
+
 def min_entropy_m1(n: int, pi: float) -> SortedDistribution:
     """Minimum-entropy distribution for a single selected slot (m = 1).
 
@@ -84,11 +97,7 @@ def min_entropy_m1(n: int, pi: float) -> SortedDistribution:
         probs = np.zeros(n)
         probs[0] = 1.0
         return SortedDistribution(probs)
-    step = 1.0 - pi
-    copies = min(int(1.0 / step + REMAINDER_SNAP), n)
-    remainder = 1.0 - copies * step
-    if remainder < REMAINDER_SNAP:
-        remainder = 0.0
+    step, copies, remainder = _staircase(n, pi)
     probs = np.zeros(n)
     probs[:copies] = step
     if remainder > 0.0:
@@ -129,18 +138,49 @@ def candidate_set(shape: SystemShape, tol: float = DEFAULT_TOLERANCE) -> np.ndar
     return np.asarray(merged)
 
 
-def _tail_split(pi: float, p_hat: float) -> tuple[int, float]:
-    """Split tail mass pi into full p_hat slots plus a snapped remainder."""
-    if pi < REMAINDER_SNAP:
-        return 0, 0.0
-    copies = int(pi / p_hat)
+def _tail_split(pi, p_hat):
+    """Split tail mass pi into full p_hat slots plus a snapped remainder.
+
+    Elementwise over broadcast ``pi`` and ``p_hat``; scalar inputs return
+    ``(int, float)``.  A remainder below ``REMAINDER_SNAP`` becomes 0 (so
+    ``pi < REMAINDER_SNAP`` holds no slots); otherwise one above
+    ``p_hat - REMAINDER_SNAP`` becomes one more full slot.
+    """
+    pi, p_hat = np.broadcast_arrays(
+        np.asarray(pi, dtype=float), np.asarray(p_hat, dtype=float)
+    )
+    ratio = np.divide(pi, p_hat, out=np.zeros(pi.shape), where=pi >= REMAINDER_SNAP)
+    copies = np.floor(ratio)
     remainder = pi - copies * p_hat
-    if remainder < REMAINDER_SNAP:
-        remainder = 0.0
-    elif remainder > p_hat - REMAINDER_SNAP:
-        copies += 1
-        remainder = 0.0
+    small = remainder < REMAINDER_SNAP
+    full = ~small & (remainder > p_hat - REMAINDER_SNAP)
+    copies = (copies + full).astype(np.int64)
+    remainder = np.where(small | full, 0.0, remainder)
+    if copies.ndim == 0:
+        return int(copies), float(remainder)
     return copies, remainder
+
+
+def _fe(x: np.ndarray) -> np.ndarray:
+    """Elementwise -x*log2(x) with 0*log2(0) = 0 and negatives clipped."""
+    x = np.maximum(x, 0.0)
+    safe = np.where(x > ZERO_FLOOR, x, 1.0)
+    return np.where(x > ZERO_FLOOR, -x * np.log2(safe), 0.0)
+
+
+def _candidate_entropies(m: int, pi, p_hats) -> np.ndarray:
+    """Entropy in bits of each distribution :func:`assemble_min_candidate` builds.
+
+    Closed form ``(m-1+copies)*fe(p) + fe((1-pi)-(m-1)*p) + fe(rem)`` over
+    broadcast ``pi`` and ``p_hats``, where ``copies``/``rem`` is the tail
+    split; as in the assembly, the tail is empty where ``p <= ZERO_FLOOR``.
+    """
+    p = np.asarray(p_hats, dtype=float)
+    live = p > ZERO_FLOOR
+    copies, rem = _tail_split(pi, np.where(live, p, 1.0))
+    copies = np.where(live, copies, 0)
+    rem = np.where(live, rem, 0.0)
+    return (m - 1 + copies) * _fe(p) + _fe((1.0 - pi) - (m - 1) * p) + _fe(rem)
 
 
 def assemble_min_candidate(
@@ -176,11 +216,28 @@ def assemble_min_candidate(
 
 @dataclass(frozen=True)
 class CandidateEvaluation:
-    """One candidate p_hat with its assembled distribution and entropy."""
+    """One candidate p_hat of ``shape`` with its closed-form entropy.
+
+    Only ``(p_hat, entropy_bits, shape)`` is stored; :attr:`distribution`
+    assembles the candidate's distribution on each access.
+    """
 
     p_hat: float
     entropy_bits: float
-    distribution: SortedDistribution
+    shape: SystemShape
+
+    @property
+    def distribution(self) -> SortedDistribution:
+        """The candidate distribution, built on access.
+
+        A point mass when ``pi < REMAINDER_SNAP`` and the staircase when
+        ``m = 1`` (:func:`min_entropy_m1` covers both), otherwise
+        :func:`assemble_min_candidate` at ``p_hat``.
+        """
+        shape = self.shape
+        if shape.m == 1 or shape.pi < REMAINDER_SNAP:
+            return min_entropy_m1(shape.n, shape.pi)
+        return assemble_min_candidate(shape, self.p_hat)
 
 
 @dataclass(frozen=True)
@@ -201,48 +258,42 @@ class MinEntropyResult:
 def min_entropy(shape: SystemShape, tol: float = DEFAULT_TOLERANCE) -> MinEntropyResult:
     """Exact minimum entropy over the feasible polytope.
 
-    ``pi = 0`` short-circuits to a point mass (entropy 0); ``m = 1`` uses
-    the staircase; otherwise every candidate p_hat is assembled and the
-    lowest-index argmin is returned.
+    ``pi = 0`` short-circuits to a point mass (entropy 0); ``m = 1`` has
+    the single candidate ``p_hat = 1 - pi``, the staircase.  Otherwise the
+    entropy of every :func:`candidate_set` value comes from one closed-form
+    kernel call and the lowest-index argmin is returned.  No distribution
+    is built until a caller reads one.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     y = _index_bound(n, m, pi)
     if pi < REMAINDER_SNAP:
-        probs = np.zeros(n)
-        probs[0] = 1.0
-        dist = SortedDistribution(probs)
-        cand = CandidateEvaluation(0.0, 0.0, dist)
+        cand = CandidateEvaluation(0.0, 0.0, shape)
         return MinEntropyResult(shape, y, (cand,), 0, 0.0)
     if m == 1:
-        dist = min_entropy_m1(n, pi)
-        bits = entropy(dist)
-        cand = CandidateEvaluation(1.0 - pi, bits, dist)
+        # The staircase takes its remainder from 1, not from pi, so it can
+        # snap differently from the tail split; its entropy comes from the
+        # entries min_entropy_m1 builds.
+        step, copies, remainder = _staircase(n, pi)
+        bits = float(copies * _fe(step) + _fe(remainder))
+        cand = CandidateEvaluation(step, bits, shape)
         return MinEntropyResult(shape, y, (cand,), 0, bits)
-    evaluations = []
-    for p_hat in candidate_set(shape, tol):
-        dist = assemble_min_candidate(shape, float(p_hat), tol)
-        evaluations.append(CandidateEvaluation(float(p_hat), entropy(dist), dist))
-    bits = np.asarray([c.entropy_bits for c in evaluations])
+    p_hats = candidate_set(shape, tol)
+    bits = _candidate_entropies(m, pi, p_hats)
     argmin = int(np.argmin(bits))
-    return MinEntropyResult(
-        shape, y, tuple(evaluations), argmin, float(bits[argmin])
+    candidates = tuple(
+        CandidateEvaluation(float(p), float(b), shape) for p, b in zip(p_hats, bits)
     )
-
-
-def _fe(x: np.ndarray) -> np.ndarray:
-    """Elementwise -x*log2(x) with 0*log2(0) = 0 and negatives clipped."""
-    x = np.maximum(x, 0.0)
-    safe = np.where(x > ZERO_FLOOR, x, 1.0)
-    return np.where(x > ZERO_FLOOR, -x * np.log2(safe), 0.0)
+    return MinEntropyResult(shape, y, candidates, argmin, float(bits[argmin]))
 
 
 def min_entropy_values(n: int, m: int, pis: np.ndarray) -> np.ndarray:
     """Vectorized minimum-entropy values for many tail masses at once.
 
     Closed-form evaluation of the candidate entropies (no distributions are
-    materialized); agrees with :func:`min_entropy` within tolerance, which
-    the test suite checks by assembling.  Used by the bisection that
-    inverts the minimum-entropy curve.
+    built): the right endpoint through the same kernel as
+    :func:`min_entropy`, the junctions in one block per chunk of ``pis``.
+    Agrees with :func:`min_entropy` within tolerance.  Used by the
+    bisection that inverts the minimum-entropy curve.
     """
     pis = np.clip(np.asarray(pis, dtype=float), 0.0, (n - m) / n)
     out = np.zeros(pis.shape)
@@ -252,16 +303,11 @@ def min_entropy_values(n: int, m: int, pis: np.ndarray) -> np.ndarray:
     if not active.any():
         return out
     pa = pis[active]
-    # Right endpoint: m head copies of the head mean plus the tail split.
-    ph = (1.0 - pa) / m
-    ratio = pa / ph
-    copies = np.floor(ratio).astype(np.int64)
-    rem = pa - copies * ph
-    snap_up = rem > ph - REMAINDER_SNAP
-    copies = copies + snap_up
-    rem = np.where(snap_up | (rem < REMAINDER_SNAP), 0.0, rem)
-    best = (m + copies) * _fe(ph) + _fe(rem)
-    # Junction rows, chunked so the (pi x j) matrix stays bounded.
+    best = _candidate_entropies(m, pa, (1.0 - pa) / m)
+    # Junction rows, chunked so the (pi x j) matrix stays bounded.  At
+    # junction j the tail holds exactly n-m-j+1 full slots and no remainder,
+    # so these rows skip the kernel, whose tail split would divide and snap
+    # every (pi, j) cell only to find that count again.
     js = np.arange(1, n - m + 1)
     slots = (n - m - js + 1).astype(float)
     block = max(1, (1 << 22) // max(len(js), 1))
@@ -300,10 +346,11 @@ def piecewise_curve(
     """Sample the piecewise-concave curve H(p_hat) over its full interval.
 
     Emits ``samples`` uniform points merged with the candidate junctions
-    (flagged ``is_junction``); each point is assembled and its entropy
-    evaluated, so branch bookkeeping can never disagree with the
-    construction.  ``segment_index`` counts how many full tail slots have
-    been given up relative to the uniform-tail left endpoint.
+    (flagged ``is_junction``); every point's entropy comes from the same
+    closed-form kernel and tail split as :func:`min_entropy`, so branch
+    bookkeeping can never disagree with the construction.
+    ``segment_index`` counts how many full tail slots have been given up
+    relative to the uniform-tail left endpoint.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     if m < 2:
@@ -322,12 +369,10 @@ def piecewise_curve(
         [np.ones(junctions.size, bool), np.zeros(int(keep.sum()), bool)]
     )
     order = np.argsort(points, kind="stable")
-    out = []
-    for p_hat, flag in zip(points[order], flags[order]):
-        p_hat = float(min(max(p_hat, lo), hi))
-        dist = assemble_min_candidate(shape, p_hat, tol)
-        copies, _ = _tail_split(pi, p_hat)
-        out.append(
-            CurveSample(p_hat, entropy_bits(dist.probs), (n - m) - copies, bool(flag))
-        )
-    return out
+    points = np.clip(points[order], lo, hi)
+    copies, _ = _tail_split(pi, points)
+    bits = _candidate_entropies(m, pi, points)
+    return [
+        CurveSample(float(p), float(b), (n - m) - int(c), bool(f))
+        for p, b, c, f in zip(points, bits, copies, flags[order])
+    ]

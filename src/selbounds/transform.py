@@ -37,6 +37,7 @@ from .errors import (
     BadKError,
     DuplicateIdError,
     InvalidEntryError,
+    NumericFailureError,
     TooLargeError,
     ZeroDenominatorError,
 )
@@ -147,27 +148,57 @@ def _enumerate(iterable, count: int, k: int) -> np.ndarray:
     return flat.reshape(count, k)
 
 
+def _mass_outside(total: tuple[float, float], q: np.ndarray) -> np.ndarray:
+    """Per row, the mass of every object not among the row's members.
+
+    ``total`` is the distribution's mass as an unevaluated sum ``hi + lo``;
+    each member is subtracted error-free (two-sum), so no subtraction of
+    two nearly equal totals loses the result.  The arithmetic depends only
+    on the row's values, so rows with equal member masses stay exactly
+    equal and ties keep their lexicographic order.
+    """
+    s = np.full(q.shape[0], total[0])
+    err = np.full(q.shape[0], total[1])
+    for t in range(q.shape[1]):
+        b = -q[:, t]
+        new = s + b
+        b_virtual = new - s
+        err += (s - (new - b_virtual)) + (b - b_virtual)
+        s = new
+    return np.maximum(s + err, 0.0)
+
+
 def _unique_probabilities(probs: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Sum of the without-replacement chain over all orderings, per row.
 
     Subset dynamic program: h[S] accumulates the chain mass of every
     ordering of subset S placed first, so each row costs k * 2^k instead
-    of k!.  Chunked so the working matrix stays below ~8 MiB.
+    of k!.  The mass left before a draw that follows S is the row's
+    outside mass plus its members not in S, never ``1 - mass[S]``, which
+    cancels when S holds nearly all the mass.  Chunked so the working
+    matrices stay below ~8 MiB each.
     """
     count, k = members.shape
     size = 1 << k
+    full = size - 1
+    hi = math.fsum(probs)
+    total = (hi, math.fsum([*probs.tolist(), -hi]))
     q_all = probs[members]
     out = np.empty(count)
     block = max(1, (1 << 20) // size)
     for start in range(0, count, block):
         q = q_all[start : start + block]
         rows = q.shape[0]
-        h = np.zeros((rows, size))
-        h[:, 0] = 1.0
+        outside = _mass_outside(total, q)
+        # Members are ascending sorted positions, so each mass[mask] adds
+        # the smallest members first.
         mass = np.zeros((rows, size))
         for mask in range(1, size):
             low = mask & (-mask)
             mass[:, mask] = mass[:, mask ^ low] + q[:, low.bit_length() - 1]
+        h = np.zeros((rows, size))
+        h[:, 0] = 1.0
+        for mask in range(1, size):
             acc = np.zeros(rows)
             for e in range(k):
                 bit = 1 << e
@@ -175,7 +206,7 @@ def _unique_probabilities(probs: np.ndarray, members: np.ndarray) -> np.ndarray:
                     continue
                 prev = mask ^ bit
                 qe = q[:, e]
-                rem = 1.0 - mass[:, prev]
+                rem = outside + mass[:, full ^ prev]
                 bad = (qe > ZERO_FLOOR) & (rem <= ZERO_FLOOR)
                 if bad.any():
                     raise ZeroDenominatorError(
@@ -215,7 +246,14 @@ def _build(
     members = members[order]
     probs_c = probs_c[order]
     in_sel = in_sel[order]
-    composite_dist = SortedDistribution(probs_c, order)
+    try:
+        composite_dist = SortedDistribution(probs_c, order)
+    except InvalidEntryError as exc:
+        # The composites are built here, not read from the caller, so a
+        # failed check is lost precision, not bad input.
+        raise NumericFailureError(
+            f"composite distribution failed validation: {exc}"
+        ) from exc
     original_ids = np.asarray(dist.original_index)[members]
     selected_mass = float(probs_c[in_sel].sum())
     top_mass = float(probs_c[:m_prime].sum())

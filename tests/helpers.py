@@ -7,6 +7,7 @@ the feasible-polytope sampler is a separate numpy implementation.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -46,6 +47,26 @@ def chain_probability(probs, order) -> float:
         out *= probs[idx] / remaining
         remaining -= probs[idx]
     return out
+
+
+def mp_unique_composite(probs, members) -> float:
+    """50-digit without-replacement mass of one k-combination.
+
+    Sums the chain over every ordering of ``members``; the mass remaining
+    before each draw is the exact sum of the entries not yet drawn, so the
+    entries need not sum to exactly 1.
+    """
+    values = [mpf(repr(float(p))) for p in probs]
+    total = mp.fsum(values)
+    out = mpf(0)
+    for order in itertools.permutations(members):
+        remaining = total
+        chain = mpf(1)
+        for idx in order:
+            chain *= values[idx] / remaining
+            remaining -= values[idx]
+        out += chain
+    return float(out)
 
 
 def feasible_batch(

@@ -48,6 +48,34 @@ class TestBoundsCommand:
         assert doc["n"] == 3 and doc["m"] == 1 and doc["k"] == 2
         assert doc["pi_observed"] == pytest.approx(1 - 18 / 35, abs=1e-9)
 
+    def test_skewed_dist_with_k_is_valid_input(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1\n1e-9\n1e-9\n3e-10\n2e-10\n")
+        code, out, err = run_cli(
+            capsys, "bounds", "--dist", str(path), "--m", "2", "--k", "2",
+            "--mode", "unique",
+        )
+        assert code == 0, err
+        assert json.loads(out)["pi_observed"] == pytest.approx(0.6, abs=1e-9)
+
+    def test_composite_precision_loss_exits_2(self, capsys, tmp_path, monkeypatch):
+        import selbounds.transform as transform
+
+        exact = transform._unique_probabilities
+        monkeypatch.setattr(
+            transform, "_unique_probabilities",
+            lambda probs, members: exact(probs, members) * (1.0 + 1e-6),
+        )
+        path = tmp_path / "d.txt"
+        path.write_text("0.5\n0.3\n0.2\n")
+        code, out, err = run_cli(
+            capsys, "bounds", "--dist", str(path), "--m", "2", "--k", "2",
+            "--mode", "unique",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: internal numeric failure")
+
     def test_flawed_comparison_field(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--n", "30", "--m", "20", "--entropy", "4.5",

@@ -215,6 +215,72 @@ class TestMinEntropy:
                 assert split >= merged - 1e-9
 
 
+def _edge_shapes(rng):
+    """Random shapes plus n = 2, m = n-1, pi at (n-m)/n and tiny pi."""
+    shapes = [random_shape(rng, n_max=40) for _ in range(150)]
+    for n in (2, 3, 9, 40):
+        for m in range(1, n):
+            shapes.append(sb.SystemShape(n, m, (n - m) / n))
+            shapes.append(sb.SystemShape(n, m, float(rng.uniform(0, (n - m) / n))))
+    for n in (5, 60, 2000):
+        for pi in (1e-12, 3e-11, 1e-9):
+            shapes.extend(sb.SystemShape(n, m, pi) for m in (1, 2, n - 1))
+    return shapes
+
+
+class TestCandidateEntropyKernel:
+    def test_kernel_matches_assembled_entropy(self, rng):
+        from selbounds.extrema import _candidate_entropies
+
+        for shape in _edge_shapes(rng):
+            n, m, pi = shape.n, shape.m, shape.pi
+            res = sb.min_entropy(shape)
+            for cand in res.candidates:
+                assert cand.entropy_bits == pytest.approx(
+                    sb.entropy(cand.distribution), abs=1e-12
+                )
+            if pi <= 0.0:
+                continue
+            p_hats = [c.p_hat for c in res.candidates]
+            kernel = _candidate_entropies(m, pi, p_hats)
+            for p_hat, bits in zip(p_hats, kernel):
+                d = sb.assemble_min_candidate(shape, p_hat)
+                assert bits == pytest.approx(sb.entropy(d), abs=1e-12)
+            if m < 2:
+                continue
+            assert [c.entropy_bits for c in res.candidates] == kernel.tolist()
+            for s in sb.piecewise_curve(shape, 25):
+                d = sb.assemble_min_candidate(shape, s.p_hat)
+                assert s.entropy_bits == pytest.approx(sb.entropy(d), abs=1e-12)
+                if s.p_hat > 1e-15:
+                    full_slots = int(np.count_nonzero(d.probs[m:] == s.p_hat))
+                    assert s.segment_index == (n - m) - full_slots
+
+    def test_min_entropy_builds_only_the_argmin_distribution(self, monkeypatch):
+        import selbounds.extrema as extrema
+
+        built = []
+
+        class Counting(sb.SortedDistribution):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(extrema, "SortedDistribution", Counting)
+        for shape in (
+            sb.SystemShape(15, 5, 0.4),
+            sb.SystemShape(2000, 200, 0.3),
+            sb.SystemShape(3, 1, 0.3),
+            sb.SystemShape(7, 3, 0.0),
+        ):
+            built.clear()
+            res = sb.min_entropy(shape)
+            assert built == []
+            dist = res.argmin_distribution
+            assert len(built) == 1
+            assert sb.entropy(dist) == pytest.approx(res.min_entropy_bits, abs=1e-12)
+
+
 class TestMinimalityAgainstSampling:
     def test_no_feasible_sample_goes_below(self, rng):
         for _ in range(40):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selbounds as sb
-from helpers import chain_probability
+from helpers import chain_probability, mp_unique_composite
 
 weight_lists = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False, allow_infinity=False),
@@ -192,6 +192,25 @@ class TestTransformInvariants:
         ts = sb.transform_unique(d, 2, 2)
         assert (np.diff(ts.dist.probs) <= 1e-15).all()
         assert ts.composite_members.tolist() == sorted(ts.composite_members.tolist())
+
+    @given(
+        st.floats(min_value=3.0, max_value=14.0),
+        st.integers(min_value=1, max_value=2),
+        st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=2, max_size=5),
+        st.integers(min_value=2, max_value=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_skewed_composites_match_exact_chain(self, skew, heavy, light, k):
+        # a few heavy objects and light ones 10^-skew smaller: drawing the
+        # heavy ones first leaves a remainder that 1 - mass would cancel
+        weights = [1.0 - 0.1 * i for i in range(heavy)]
+        weights += [u * 10.0 ** -skew for u in light]
+        d = sb.make_distribution(weights)
+        k = min(k, d.n)
+        ts = sb.transform_unique(d, k, k)
+        for row, p in zip(ts.composite_members.tolist(), ts.dist.probs):
+            exact = mp_unique_composite(d.probs, row)
+            assert float(p) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_caps(self):
         d = sb.make_distribution(np.ones(30))
