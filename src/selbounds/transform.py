@@ -175,8 +175,10 @@ def _unique_probabilities(probs: np.ndarray, members: np.ndarray) -> np.ndarray:
     ordering of subset S placed first, so each row costs k * 2^k instead
     of k!.  The mass left before a draw that follows S is the row's
     outside mass plus its members not in S, never ``1 - mass[S]``, which
-    cancels when S holds nearly all the mass.  Chunked so the working
-    matrices stay below ~8 MiB each.
+    cancels when S holds nearly all the mass.  That remainder includes the
+    member being drawn, so it is positive whenever the member is, and no
+    positive member is floored away however small it is.  Chunked so the
+    working matrices stay below ~8 MiB each.
     """
     count, k = members.shape
     size = 1 << k
@@ -207,13 +209,8 @@ def _unique_probabilities(probs: np.ndarray, members: np.ndarray) -> np.ndarray:
                 prev = mask ^ bit
                 qe = q[:, e]
                 rem = outside + mass[:, full ^ prev]
-                bad = (qe > ZERO_FLOOR) & (rem <= ZERO_FLOOR)
-                if bad.any():
-                    raise ZeroDenominatorError(
-                        "composite chain exhausted the distribution's mass"
-                    )
-                safe = np.where(rem > ZERO_FLOOR, rem, 1.0)
-                acc += np.where(qe > ZERO_FLOOR, h[:, prev] * qe / safe, 0.0)
+                # rem >= qe, so rem is 0 only where the member's mass is.
+                acc += h[:, prev] * qe / np.where(rem > 0.0, rem, 1.0)
             h[:, mask] = acc
         out[start : start + block] = h[:, size - 1]
     return out
@@ -288,7 +285,7 @@ def transform_unique(
     _validate_k(n, m, k, unique_k_cap())
     n_prime = math.comb(n, k)
     _check_size(n_prime, max_composites if max_composites is not None else composite_cap())
-    if int(np.count_nonzero(dist.probs > ZERO_FLOOR)) < k:
+    if int(np.count_nonzero(dist.probs > 0.0)) < k:
         raise ZeroDenominatorError(
             f"need at least k={k} objects with positive probability"
         )
