@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .core import (
     SystemShape,
     entropy,
     format_number,
+    format_numbers,
     make_distribution,
     read_weights,
     tail_probability,
@@ -56,11 +58,69 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+#: Rows per chunk of streamed CSV output: large enough that the per-chunk
+#: numpy calls cost little, small enough that one chunk's strings stay a
+#: few MB instead of holding the whole document.
+CSV_BLOCK_ROWS = 65_536
+
+_FLAG_TEXT = ("false", "true")
+
+
+def _emit(chunks: str | Iterable[str], out_path: str | None) -> None:
+    """Write a ``str`` or an iterable of text chunks as they arrive."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _csv_blocks(head: str, count: int, columns):
+    """Yield ``head``, then ``count`` CSV rows in chunks of CSV_BLOCK_ROWS.
+
+    Each column maps a row slice to the cells of those rows as strings.
+    The rows are formatted as the chunks are written, so the whole
+    document is never held at once.
+    """
+    yield head
+    for start in range(0, count, CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        cells = [column(block) for column in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _number_cells(values):
+    values = np.asarray(values, dtype=float)
+    return lambda block: format_numbers(values[block])
+
+
+def _flag_cells(values):
+    values = np.asarray(values, dtype=bool)
+    return lambda block: [_FLAG_TEXT[f] for f in values[block].tolist()]
+
+
+def _int_cells(values):
+    values = np.asarray(values, dtype=np.int64)
+    return lambda block: list(map(str, values[block].tolist()))
+
+
+def _id_cells(index: np.ndarray):
+    """Cells ``a+b+...`` of the rows of a 2-D array of object ids.
+
+    The text of every id ``0..max`` is made once; each block looks its ids
+    up and joins the columns with ``np.char.add``.
+    """
+    table = np.array([str(i) for i in range(int(index.max()) + 1)])
+
+    def cells(block):
+        text = table[index[block, 0]]
+        for j in range(1, index.shape[1]):
+            text = np.char.add(np.char.add(text, "+"), table[index[block, j]])
+        return text.tolist()
+
+    return cells
 
 
 def _json(obj) -> str:
@@ -255,7 +315,7 @@ def _cmd_bounds(args) -> tuple[str, str | None]:
     return ",".join(cols) + "\n" + ",".join(vals) + "\n", None
 
 
-def _cmd_extrema(args) -> tuple[str, str | None]:
+def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
     shape = SystemShape(args.n, args.m, args.pi)
     if args.which == "max":
         dist = max_entropy_distribution(shape)
@@ -279,15 +339,14 @@ def _cmd_extrema(args) -> tuple[str, str | None]:
         }
     if args.format == "json":
         return _json(meta), None
-    lines = [
+    head = (
         f"# which={args.which} n={shape.n} m={shape.m} pi={format_number(shape.pi)} "
-        f"entropy_bits={format_number(bits)}"
-    ]
-    lines.extend(format_number(p) for p in dist.probs)
-    return "\n".join(lines) + "\n", None
+        f"entropy_bits={format_number(bits)}\n"
+    )
+    return _csv_blocks(head, dist.n, [_number_cells(dist.probs)]), None
 
 
-def _cmd_curve(args) -> tuple[str, str | None]:
+def _cmd_curve(args) -> tuple[str | Iterable[str], str | None]:
     shape = SystemShape(args.n, args.m, args.pi)
     samples = piecewise_curve(shape, args.samples, args.tolerance)
     if args.format == "json":
@@ -299,17 +358,17 @@ def _cmd_curve(args) -> tuple[str, str | None]:
                 for s in samples
             ],
         }), None
-    lines = ["p_hat,entropy_bits,segment_index,is_junction"]
-    for s in samples:
-        flag = "true" if s.is_junction else "false"
-        lines.append(
-            f"{format_number(s.p_hat)},{format_number(s.entropy_bits)},"
-            f"{s.segment_index},{flag}"
-        )
-    return "\n".join(lines) + "\n", None
+    columns = [
+        _number_cells([s.p_hat for s in samples]),
+        _number_cells([s.entropy_bits for s in samples]),
+        _int_cells([s.segment_index for s in samples]),
+        _flag_cells([s.is_junction for s in samples]),
+    ]
+    head = "p_hat,entropy_bits,segment_index,is_junction\n"
+    return _csv_blocks(head, len(samples), columns), None
 
 
-def _cmd_transform(args) -> tuple[str, str | None]:
+def _cmd_transform(args) -> tuple[str | Iterable[str], str | None]:
     dist = make_distribution(read_weights(args.dist))
     if args.mode == "unique":
         ts = transform_unique(dist, args.m, args.k, args.tolerance)
@@ -329,11 +388,13 @@ def _cmd_transform(args) -> tuple[str, str | None]:
                 for ids, p, flag in zip(ts.composite_index, ts.dist.probs, ts.in_selected)
             ],
         }), None
-    lines = ["# " + json.dumps(header), "composite_ids,probability,in_selected_set"]
-    for ids, p, flag in zip(ts.composite_index, ts.dist.probs, ts.in_selected):
-        tag = "true" if flag else "false"
-        lines.append("+".join(str(int(i)) for i in ids) + f",{format_number(p)},{tag}")
-    return "\n".join(lines) + "\n", None
+    head = f"# {json.dumps(header)}\ncomposite_ids,probability,in_selected_set\n"
+    columns = [
+        _id_cells(ts.composite_index),
+        _number_cells(ts.dist.probs),
+        _flag_cells(ts.in_selected),
+    ]
+    return _csv_blocks(head, ts.n_prime, columns), None
 
 
 def _cmd_sweep(args) -> tuple[str, str | None]:
@@ -421,14 +482,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         with np.errstate(over="raise", invalid="ignore", divide="ignore"):
-            text, side_text = _COMMANDS[args.command](args)
+            body, side_text = _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericFailureError, ArithmeticError, FloatingPointError) as exc:
         print(f"error: internal numeric failure: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
+    _emit(body, args.out)
     if side_text:
         sys.stderr.write(side_text)
     return 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .errors import (
     BadMError,
     InfeasibleError,
     InvalidEntryError,
+    NumericFailureError,
     TooLargeError,
 )
 
@@ -129,6 +131,20 @@ class SortedDistribution:
         out = np.empty_like(self.probs)
         out[self.original_index] = self.probs
         return out
+
+
+@contextmanager
+def built_internally(what: str):
+    """Report a failed check on values the package computed itself.
+
+    Inside the block an :class:`InvalidEntryError` becomes a
+    :class:`NumericFailureError` (CLI exit 2): the values were not read
+    from the caller, so a failed check is lost precision, not bad input.
+    """
+    try:
+        yield
+    except InvalidEntryError as exc:
+        raise NumericFailureError(f"{what} failed validation: {exc}") from exc
 
 
 def make_distribution(raw) -> SortedDistribution:
@@ -283,6 +299,20 @@ def parse_key_values(text: str, known: set[str]) -> dict[str, str]:
     return fields
 
 
+#: Format spec of every number in CSV output: 12 significant digits.
+_NUMBER_FORMAT = ".12g"
+
+
 def format_number(value: float) -> str:
     """Render a number for CSV output with 12 significant digits."""
-    return format(float(value), ".12g")
+    return format(float(value), _NUMBER_FORMAT)
+
+
+def format_numbers(values) -> list[str]:
+    """:func:`format_number` of each value, formatted from plain floats.
+
+    The values pass through ``tolist()`` once, so the loop formats Python
+    floats instead of boxing a numpy scalar per element.
+    """
+    spec = _NUMBER_FORMAT
+    return [format(v, spec) for v in np.asarray(values, dtype=float).tolist()]

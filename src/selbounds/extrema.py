@@ -40,6 +40,7 @@ from .core import (
     ZERO_FLOOR,
     SortedDistribution,
     SystemShape,
+    built_internally,
 )
 from .errors import BadConfigError, BadMError, BadPHatError, InfeasibleError
 
@@ -52,10 +53,13 @@ def max_entropy_distribution(shape: SystemShape) -> SortedDistribution:
     """Flat-head/flat-tail distribution attaining the entropy maximum."""
     n, m = shape.n, shape.m
     if m == n:
-        return SortedDistribution(np.full(n, 1.0 / n))
-    head = np.full(m, shape.head_mean)
-    tail = np.full(n - m, shape.tail_mean)
-    return SortedDistribution(np.concatenate([head, tail]))
+        probs = np.full(n, 1.0 / n)
+    else:
+        head = np.full(m, shape.head_mean)
+        tail = np.full(n - m, shape.tail_mean)
+        probs = np.concatenate([head, tail])
+    with built_internally("maximum-entropy distribution"):
+        return SortedDistribution(probs)
 
 
 def max_entropy_value(n: int, m: int, pi: float) -> float:
@@ -93,16 +97,16 @@ def min_entropy_m1(n: int, pi: float) -> SortedDistribution:
     """
     shape = SystemShape(n, 1, pi)  # validates and snaps pi
     pi = shape.pi
-    if pi < REMAINDER_SNAP:
-        probs = np.zeros(n)
-        probs[0] = 1.0
-        return SortedDistribution(probs)
-    step, copies, remainder = _staircase(n, pi)
     probs = np.zeros(n)
-    probs[:copies] = step
-    if remainder > 0.0:
-        probs[copies] = remainder
-    return SortedDistribution(probs)
+    if pi < REMAINDER_SNAP:
+        probs[0] = 1.0
+    else:
+        step, copies, remainder = _staircase(n, pi)
+        probs[:copies] = step
+        if remainder > 0.0:
+            probs[copies] = remainder
+    with built_internally("staircase distribution"):
+        return SortedDistribution(probs)
 
 
 def _index_bound(n: int, m: int, pi: float) -> int:
@@ -211,7 +215,8 @@ def assemble_min_candidate(
         probs[m : m + copies] = p_hat
         if remainder > 0.0:
             probs[m + copies] = remainder
-    return SortedDistribution(probs)
+    with built_internally("minimum-entropy candidate"):
+        return SortedDistribution(probs)
 
 
 @dataclass(frozen=True)

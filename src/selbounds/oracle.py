@@ -23,6 +23,7 @@ from .core import (
     ZERO_FLOOR,
     SortedDistribution,
     SystemShape,
+    built_internally,
     entropy,
     entropy_bits,
     format_number,
@@ -170,18 +171,21 @@ def sample_feasible(shape: SystemShape, rng: np.random.Generator) -> SortedDistr
     n, m, pi = shape.n, shape.m, shape.pi
     head = np.sort(rng.dirichlet(np.ones(m)))[::-1] * (1.0 - pi)
     if m == n:
-        return SortedDistribution(head)
-    if pi <= ZERO_FLOOR:
-        tail = np.zeros(n - m)
+        probs = head
     else:
-        tail = np.sort(rng.dirichlet(np.ones(n - m)))[::-1] * pi
-    if tail.size and head[-1] < tail[0]:
-        flat_gap = shape.head_mean - shape.tail_mean
-        overlap = tail[0] - head[-1]
-        lam = flat_gap / (flat_gap + overlap) if flat_gap + overlap > 0 else 0.0
-        head = lam * head + (1.0 - lam) * shape.head_mean
-        tail = lam * tail + (1.0 - lam) * shape.tail_mean
-    return SortedDistribution(np.concatenate([head, tail]))
+        if pi <= ZERO_FLOOR:
+            tail = np.zeros(n - m)
+        else:
+            tail = np.sort(rng.dirichlet(np.ones(n - m)))[::-1] * pi
+        if tail.size and head[-1] < tail[0]:
+            flat_gap = shape.head_mean - shape.tail_mean
+            overlap = tail[0] - head[-1]
+            lam = flat_gap / (flat_gap + overlap) if flat_gap + overlap > 0 else 0.0
+            head = lam * head + (1.0 - lam) * shape.head_mean
+            tail = lam * tail + (1.0 - lam) * shape.tail_mean
+        probs = np.concatenate([head, tail])
+    with built_internally("feasible sample"):
+        return SortedDistribution(probs)
 
 
 def _nan_record(scenario_id: int, n: int, m: int) -> SweepRecord:

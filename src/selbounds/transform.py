@@ -29,15 +29,14 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCE,
-    ZERO_FLOOR,
     SortedDistribution,
+    built_internally,
     validate_counts,
 )
 from .errors import (
     BadKError,
     DuplicateIdError,
     InvalidEntryError,
-    NumericFailureError,
     TooLargeError,
     ZeroDenominatorError,
 )
@@ -63,8 +62,10 @@ def sequential_probability(dist: SortedDistribution, ordered_ids, tol: float = D
     """Probability of drawing the given objects in order, without replacement.
 
     ``ordered_ids`` index the sorted distribution.  Each step divides by
-    the mass remaining before the draw; a zero-probability member makes
-    the whole chain zero.
+    the mass remaining before the draw, taken as the mass outside the
+    tuple plus the members not yet drawn (never ``1 - drawn``, which
+    cancels when the drawn members hold nearly all the mass); a
+    zero-probability member makes the whole chain zero.
     """
     ids = [int(i) for i in np.asarray(ordered_ids).ravel()]
     if len(ids) == 0 or len(ids) > dist.n:
@@ -75,18 +76,15 @@ def sequential_probability(dist: SortedDistribution, ordered_ids, tol: float = D
         raise DuplicateIdError(f"ordered tuple repeats an object: {ids}")
     if min(ids) < 0 or max(ids) >= dist.n:
         raise InvalidEntryError(f"object id outside [0, {dist.n}): {ids}")
-    remaining = 1.0
+    q = np.asarray(dist.probs)[ids]
+    outside = float(_mass_outside(_total_mass(dist.probs), q[None, :])[0])
+    members = q.tolist()
     prob = 1.0
-    for oid in ids:
-        p = float(dist.probs[oid])
-        if p <= ZERO_FLOOR:
+    for t, p in enumerate(members):
+        if p == 0.0:
             return 0.0
-        if remaining <= ZERO_FLOOR:
-            raise ZeroDenominatorError(
-                "remaining mass exhausted before the chain finished"
-            )
-        prob *= p / remaining
-        remaining -= p
+        # The remainder includes p, so it is positive whenever p is.
+        prob *= p / math.fsum([outside, *members[t:]])
     return prob
 
 
@@ -148,6 +146,12 @@ def _enumerate(iterable, count: int, k: int) -> np.ndarray:
     return flat.reshape(count, k)
 
 
+def _total_mass(probs: np.ndarray) -> tuple[float, float]:
+    """The sum of ``probs`` as an unevaluated ``hi + lo`` pair."""
+    hi = math.fsum(probs)
+    return hi, math.fsum([*probs.tolist(), -hi])
+
+
 def _mass_outside(total: tuple[float, float], q: np.ndarray) -> np.ndarray:
     """Per row, the mass of every object not among the row's members.
 
@@ -183,8 +187,7 @@ def _unique_probabilities(probs: np.ndarray, members: np.ndarray) -> np.ndarray:
     count, k = members.shape
     size = 1 << k
     full = size - 1
-    hi = math.fsum(probs)
-    total = (hi, math.fsum([*probs.tolist(), -hi]))
+    total = _total_mass(probs)
     q_all = probs[members]
     out = np.empty(count)
     block = max(1, (1 << 20) // size)
@@ -243,14 +246,8 @@ def _build(
     members = members[order]
     probs_c = probs_c[order]
     in_sel = in_sel[order]
-    try:
+    with built_internally("composite distribution"):
         composite_dist = SortedDistribution(probs_c, order)
-    except InvalidEntryError as exc:
-        # The composites are built here, not read from the caller, so a
-        # failed check is lost precision, not bad input.
-        raise NumericFailureError(
-            f"composite distribution failed validation: {exc}"
-        ) from exc
     original_ids = np.asarray(dist.original_index)[members]
     selected_mass = float(probs_c[in_sel].sum())
     top_mass = float(probs_c[:m_prime].sum())

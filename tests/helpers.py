@@ -49,23 +49,36 @@ def chain_probability(probs, order) -> float:
     return out
 
 
+def _mp_chain(values, total, order):
+    remaining = total
+    chain = mpf(1)
+    for idx in order:
+        chain *= values[idx] / remaining
+        remaining -= values[idx]
+    return chain
+
+
+def mp_chain(probs, order) -> float:
+    """50-digit without-replacement mass of drawing ``order`` in that order.
+
+    The mass remaining before each draw is the exact sum of the entries
+    not yet drawn, so the entries need not sum to exactly 1.
+    """
+    values = [mpf(repr(float(p))) for p in probs]
+    return float(_mp_chain(values, mp.fsum(values), order))
+
+
 def mp_unique_composite(probs, members) -> float:
     """50-digit without-replacement mass of one k-combination.
 
-    Sums the chain over every ordering of ``members``; the mass remaining
-    before each draw is the exact sum of the entries not yet drawn, so the
-    entries need not sum to exactly 1.
+    Sums the chain (see :func:`mp_chain`) over every ordering of
+    ``members``.
     """
     values = [mpf(repr(float(p))) for p in probs]
     total = mp.fsum(values)
     out = mpf(0)
     for order in itertools.permutations(members):
-        remaining = total
-        chain = mpf(1)
-        for idx in order:
-            chain *= values[idx] / remaining
-            remaining -= values[idx]
-        out += chain
+        out += _mp_chain(values, total, order)
     return float(out)
 
 

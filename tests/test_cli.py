@@ -340,3 +340,70 @@ class TestDeterminism:
             "--tight-grid", "128",
         )
         assert dest.read_text() == out
+
+
+class _HeavyDirichlet:
+    """A generator whose Dirichlet draws carry a mass defect of 1e-6."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def dirichlet(self, alpha):
+        return self._rng.dirichlet(alpha) * (1.0 + 1e-6)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestInternalPrecisionLoss:
+    """A distribution the package builds itself that fails validation exits 2."""
+
+    def _exits_2(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: internal numeric failure")
+
+    def test_max_entropy_distribution(self, capsys, monkeypatch):
+        import selbounds.core as core
+
+        monkeypatch.setattr(
+            core.SystemShape, "head_mean",
+            property(lambda s: (1.0 - s.pi) / s.m * (1.0 + 1e-6)),
+        )
+        self._exits_2(capsys, "extrema", "--n", "4", "--m", "2", "--pi", "0.5")
+
+    def test_staircase(self, capsys, monkeypatch):
+        import selbounds.extrema as extrema
+
+        exact = extrema._staircase
+
+        def defective(n, pi):
+            step, copies, remainder = exact(n, pi)
+            return step * (1.0 + 1e-6), copies, remainder
+
+        monkeypatch.setattr(extrema, "_staircase", defective)
+        self._exits_2(capsys, "extrema", "--n", "5", "--m", "1", "--pi", "0.3",
+                      "--which", "min")
+
+    def test_min_entropy_candidate(self, capsys, monkeypatch):
+        import selbounds.extrema as extrema
+
+        exact = extrema._tail_split
+
+        def defective(pi, p_hat):
+            copies, remainder = exact(pi, p_hat)
+            return copies, remainder + 1e-6
+
+        monkeypatch.setattr(extrema, "_tail_split", defective)
+        self._exits_2(capsys, "extrema", "--n", "15", "--m", "5", "--pi", "0.4",
+                      "--which", "min")
+
+    @pytest.mark.parametrize("n, m, pi", [("6", "2", "0.3"), ("3", "3", "0")])
+    def test_feasible_sample(self, capsys, monkeypatch, n, m, pi):
+        import selbounds.cli as cli
+
+        derive = cli.derive_rng
+        monkeypatch.setattr(cli, "derive_rng", lambda *key: _HeavyDirichlet(derive(*key)))
+        self._exits_2(capsys, "oracle-check", "--min-entropy", "--n", n, "--m", m,
+                      "--pi", pi, "--restarts", "1", "--iters", "1")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selbounds as sb
-from helpers import chain_probability, mp_unique_composite
+from helpers import chain_probability, mp_chain, mp_unique_composite
 
 weight_lists = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False, allow_infinity=False),
@@ -51,6 +51,33 @@ class TestSequentialProbability:
             expected = chain_probability(list(d.probs), order)
             assert sb.sequential_probability(d, order) == pytest.approx(
                 expected, abs=1e-13
+            )
+
+    def test_tiny_members_keep_their_mass(self):
+        # 1 - drawn cancels after the heavy member, and members at or below
+        # 1e-15 are real mass, not zeros
+        d = sb.make_distribution([1.0, 1e-14, 1e-15])
+        for order in ([0, 2], [0, 1], [2, 0], [1, 2, 0]):
+            exact = mp_chain(d.probs, order)
+            assert sb.sequential_probability(d, order) == pytest.approx(
+                exact, rel=1e-13, abs=0.0
+            )
+
+    @given(
+        st.floats(min_value=3.0, max_value=14.0),
+        st.integers(min_value=1, max_value=2),
+        st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=2, max_size=5),
+        st.integers(min_value=2, max_value=3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_skewed_chains_match_exact_chain(self, skew, heavy, light, k):
+        weights = [1.0 - 0.1 * i for i in range(heavy)]
+        weights += [u * 10.0 ** -skew for u in light]
+        d = sb.make_distribution(weights)
+        for order in itertools.permutations(range(d.n), min(k, d.n)):
+            exact = mp_chain(d.probs, order)
+            assert sb.sequential_probability(d, order) == pytest.approx(
+                exact, rel=1e-13, abs=0.0
             )
 
 
