@@ -80,10 +80,16 @@ def max_entropy(shape: SystemShape) -> float:
 
 
 def _staircase(n: int, pi: float) -> tuple[float, int, float]:
-    """``(step, copies, remainder)`` of the m = 1 staircase, for pi > 0."""
+    """``(step, copies, remainder)`` of the m = 1 staircase, for pi > 0.
+
+    The remainder ``1 - copies*(1-pi)`` is taken from pi as
+    ``pi - (copies-1)*step``, which is pi itself for one copy and cancels
+    nothing: for two or more copies pi is at least 1/2 up to the snap, so
+    ``step`` is exact.
+    """
     step = 1.0 - pi
     copies = min(int(1.0 / step + REMAINDER_SNAP), n)
-    remainder = 1.0 - copies * step
+    remainder = pi - (copies - 1) * step
     if remainder < REMAINDER_SNAP:
         remainder = 0.0
     return step, copies, remainder
@@ -275,9 +281,8 @@ def min_entropy(shape: SystemShape, tol: float = DEFAULT_TOLERANCE) -> MinEntrop
         cand = CandidateEvaluation(0.0, 0.0, shape)
         return MinEntropyResult(shape, y, (cand,), 0, 0.0)
     if m == 1:
-        # The staircase takes its remainder from 1, not from pi, so it can
-        # snap differently from the tail split; its entropy comes from the
-        # entries min_entropy_m1 builds.
+        # The entropy of the entries min_entropy_m1 builds, so the reported
+        # bits always describe the reported distribution.
         step, copies, remainder = _staircase(n, pi)
         bits = float(copies * _fe(step) + _fe(remainder))
         cand = CandidateEvaluation(step, bits, shape)

@@ -178,6 +178,53 @@ class ScenarioReport:
         return out
 
 
+#: Monte Carlo trials drawn per block, so peak memory stays that of one
+#: block whatever the trial count.  ``Generator.random`` and
+#: ``Generator.gumbel`` fill arrays in row-major order, so drawing block by
+#: block consumes the Philox stream exactly as one full-size draw would.
+TRIAL_BLOCK_ROWS = 65_536
+
+
+def _count_in_blocks(trials: int, count_block) -> int:
+    """Sum ``count_block(rows)`` over consecutive blocks covering ``trials``.
+
+    The count is an exact integer, so ``count / trials`` is rounded once and
+    equals ``np.mean`` of the per-trial boolean outcomes bit for bit.
+    """
+    return sum(
+        count_block(min(TRIAL_BLOCK_ROWS, trials - start))
+        for start in range(0, trials, TRIAL_BLOCK_ROWS)
+    )
+
+
+def _head_threshold(dist: SortedDistribution, m: int) -> float:
+    """Uniform threshold below which a weighted draw lands in the top m.
+
+    ``Generator.choice(n, p=p)`` draws ``u = rng.random()`` and returns
+    ``searchsorted(cdf, u, side="right")`` with ``cdf = p.cumsum() / cdf[-1]``,
+    so its draw is one of the first m exactly when ``u < cdf[m-1]``; the
+    threshold is computed the same way, so counts match ``choice`` exactly.
+    ``choice`` also rejected negative ``p`` and sums more than
+    ``sqrt(eps)`` (about 1.5e-8) from 1; a :class:`SortedDistribution`
+    already guarantees both, as its entries are clipped to be non-negative
+    and its sum is within ``DEFAULT_TOLERANCE`` (1e-9) of 1.
+    """
+    cdf = np.cumsum(dist.probs)
+    cdf /= cdf[-1]
+    return float(cdf[m - 1])
+
+
+def _sample_misses_single(
+    dist: SortedDistribution, m: int, trials: int, rng: np.random.Generator
+) -> float:
+    """Fraction of trials whose single weighted pick falls outside the top m."""
+    c = _head_threshold(dist, m)
+    misses = _count_in_blocks(
+        trials, lambda rows: int(np.count_nonzero(rng.random(rows) >= c))
+    )
+    return misses / trials
+
+
 def _sample_hits_unique(
     dist: SortedDistribution, m: int, k: int, trials: int, rng: np.random.Generator
 ) -> float:
@@ -190,21 +237,33 @@ def _sample_hits_unique(
     if m == n:
         return 1.0
     with np.errstate(divide="ignore"):
-        keys = np.log(np.asarray(dist.probs)) + rng.gumbel(size=(trials, n))
-    head_kth = np.partition(keys[:, :m], m - k, axis=1)[:, m - k]
-    tail_max = keys[:, m:].max(axis=1)
-    return float(np.mean(head_kth > tail_max))
+        log_p = np.log(np.asarray(dist.probs))
+
+    def count_block(rows: int) -> int:
+        keys = log_p + rng.gumbel(size=(rows, n))
+        head_kth = np.partition(keys[:, :m], m - k, axis=1)[:, m - k]
+        tail_max = keys[:, m:].max(axis=1)
+        return int(np.count_nonzero(head_kth > tail_max))
+
+    return _count_in_blocks(trials, count_block) / trials
 
 
 def _sample_hits_repeated(
     dist: SortedDistribution, m: int, k: int, trials: int, rng: np.random.Generator
 ) -> float:
     """Fraction of trials whose k independent picks all hit the top m."""
-    n = dist.n
-    if m == n:
+    if m == dist.n:
         return 1.0
-    draws = rng.choice(n, size=(trials, k), p=np.asarray(dist.probs))
-    return float(np.mean((draws < m).all(axis=1)))
+    c = _head_threshold(dist, m)
+
+    def count_block(rows: int) -> int:
+        u = rng.random((rows, k))
+        hit = u[:, 0] < c
+        for j in range(1, k):
+            hit &= u[:, j] < c
+        return int(np.count_nonzero(hit))
+
+    return _count_in_blocks(trials, count_block) / trials
 
 
 def _within(report: BoundReport, tol: float) -> bool:
@@ -239,8 +298,7 @@ def cache_scenario(
             tol=tol, pi_observed=exact,
         )
         if cfg.trials > 0:
-            draws = rng.choice(cfg.n, size=cfg.trials, p=np.asarray(dist.probs))
-            empirical = float(np.mean(draws >= cfg.m))
+            empirical = _sample_misses_single(dist, cfg.m, cfg.trials, rng)
     else:
         if cfg.kind == "cache_multipage":
             ts = transform_unique(dist, cfg.m, cfg.k, tol)

@@ -39,6 +39,22 @@ def mp_max_entropy(n, m, pi) -> float:
     return float(total)
 
 
+def mp_min_entropy_m1(n, pi) -> float:
+    """50-digit entropy of the m = 1 staircase for tail mass ``pi``.
+
+    As many full steps of ``1 - pi`` as fit in 1 (at most ``n``), then the
+    exact remainder.
+    """
+    pi = mpf(repr(float(pi)))
+    step = 1 - pi
+    copies = min(int(mp.floor(1 / step)), n)
+    rest = 1 - copies * step
+    total = -copies * step * mp_log2(step)
+    if rest > 0:
+        total -= rest * mp_log2(rest)
+    return float(total)
+
+
 def chain_probability(probs, order) -> float:
     """Without-replacement chain product, plain Python floats."""
     remaining = 1.0

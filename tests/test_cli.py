@@ -316,6 +316,25 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, "scenario", "--config", str(cfg))
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "config, rate",
+        [
+            ("kind = cache_multiuser\nn = 12\nm = 4\nk = 3\nzipf_s = 0.9\n"
+             "trials = 200000\nseed = 17\n", "0.74098"),
+            ("kind = cache_single\nn = 20\nm = 6\nzipf_s = 1.0\n"
+             "trials = 150000\nseed = 42\n", "0.3196466666666667"),
+        ],
+    )
+    def test_scenario_seeded_rate_golden(self, capsys, tmp_path, config, rate):
+        # pinned seeded Monte Carlo output: a sampler change that moves the
+        # Philox stream, or how it maps to picks, fails here
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config)
+        code, out, _ = run_cli(capsys, "scenario", "--config", str(cfg))
+        assert code == 0
+        assert f'"empirical_rate": {rate},' in out
+        assert json.loads(out)["empirical_rate"] == float(rate)
+
     def test_reference_preset_golden_stability(self, capsys):
         # reduced scenario count, same seeding architecture as the full preset
         argv = ("sweep", "--paper-figs", "--seed", "42", "--scenarios", "10",

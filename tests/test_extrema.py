@@ -11,6 +11,7 @@ from helpers import (
     feasible_batch,
     mp_entropy,
     mp_max_entropy,
+    mp_min_entropy_m1,
 )
 
 
@@ -73,6 +74,25 @@ class TestMinEntropyM1:
     def test_infeasible(self):
         with pytest.raises(sb.InfeasibleError):
             sb.min_entropy_m1(3, 0.9)
+
+    def test_tiny_pi_keeps_the_remainder(self, rng):
+        # The remainder must carry pi's precision: taken as 1 - (1 - pi) it
+        # cancelled, was snapped to 0 at pi = 1e-12 (1.4e-12 bits instead of
+        # 4.1e-11) and was off by 1.5e-5 relative at pi = 3e-12.  The
+        # allowance covers the rounding of the step 1 - pi (up to 2**-54),
+        # which -x*log2(x) turns into about 8e-17 bits.
+        pis = np.concatenate([[1e-12, 3e-12, 1e-9], 10 ** rng.uniform(-12, -9, 60)])
+        for n in (2, 5, 1000):
+            for pi in pis:
+                result = sb.min_entropy(sb.SystemShape(n, 1, float(pi)))
+                exact = mp_min_entropy_m1(n, pi)
+                assert result.min_entropy_bits == pytest.approx(exact, rel=0, abs=2e-16)
+                assert result.min_entropy_bits == pytest.approx(
+                    sb.min_entropy_value(n, 1, float(pi)), rel=1e-12
+                )
+                stair = result.argmin_distribution.probs
+                assert stair[1] == float(pi)
+                assert sb.entropy(result.argmin_distribution) == result.min_entropy_bits
 
     def test_matches_general_assembly_exactly(self, rng):
         # forcing p_hat = 1 - pi through the generic construction must

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from mpmath import mpf
 
 import selbounds as sb
+import selbounds.scenarios as scenarios
 from helpers import chain_probability
+from selbounds.rng import derive_rng
 
 
 def harmonic_tail_fraction(n, m, s) -> float:
@@ -207,3 +210,136 @@ class TestReportShape:
                     <= report.exact_rate
                     <= report.bound_report.pi_ub_analytic + 1e-9
                 )
+
+
+# The samplers as they were before trials were drawn in blocks: one
+# ``rng.choice`` index array, or one Gumbel key matrix, for all trials.  The
+# block-wise threshold counts must return the same floats bit for bit.
+
+
+def reference_misses_single(dist, m, trials, rng):
+    draws = rng.choice(dist.n, size=trials, p=np.asarray(dist.probs))
+    return float(np.mean(draws >= m))
+
+
+def reference_hits_unique(dist, m, k, trials, rng):
+    n = dist.n
+    if m == n:
+        return 1.0
+    with np.errstate(divide="ignore"):
+        keys = np.log(np.asarray(dist.probs)) + rng.gumbel(size=(trials, n))
+    head_kth = np.partition(keys[:, :m], m - k, axis=1)[:, m - k]
+    tail_max = keys[:, m:].max(axis=1)
+    return float(np.mean(head_kth > tail_max))
+
+
+def reference_hits_repeated(dist, m, k, trials, rng):
+    n = dist.n
+    if m == n:
+        return 1.0
+    draws = rng.choice(n, size=(trials, k), p=np.asarray(dist.probs))
+    return float(np.mean((draws < m).all(axis=1)))
+
+
+def reference_empirical_rate(cfg):
+    dist = sb.make_distribution(cfg.popularity())
+    rng = derive_rng(cfg.seed, 0)
+    if cfg.kind == "cache_single":
+        return reference_misses_single(dist, cfg.m, cfg.trials, rng)
+    if cfg.kind == "cache_multiuser":
+        return 1.0 - reference_hits_repeated(dist, cfg.m, cfg.k, cfg.trials, rng)
+    if cfg.kind == "cache_multipage":
+        return 1.0 - reference_hits_unique(dist, cfg.m, cfg.k, cfg.trials, rng)
+    return reference_hits_unique(dist, cfg.m, cfg.m, cfg.trials, rng)
+
+
+SAMPLED_KINDS = [
+    ("cache_single", 9, 4, 1),
+    ("cache_single", 6, 6, 1),
+    ("cache_multiuser", 9, 4, 3),
+    ("cache_multiuser", 9, 4, 1),
+    ("cache_multiuser", 5, 5, 2),
+    ("cache_multipage", 9, 4, 2),
+    ("cache_multipage", 6, 6, 3),
+    ("scheduling", 7, 3, 3),
+    ("scheduling", 4, 4, 4),
+]
+
+
+def assert_same_rate(cfg):
+    got = sb.run_scenario(cfg).empirical_rate
+    assert got.hex() == reference_empirical_rate(cfg).hex()
+
+
+class TestSamplersMatchUnblockedDraws:
+    @pytest.mark.parametrize("kind, n, m, k", SAMPLED_KINDS)
+    @pytest.mark.parametrize("trials", [1, 7, 25])
+    def test_small_blocks(self, monkeypatch, kind, n, m, k, trials):
+        # 7 fills one block exactly; 25 spans four blocks, the last partial
+        monkeypatch.setattr(scenarios, "TRIAL_BLOCK_ROWS", 7)
+        for seed in (0, 5, 42):
+            weights = np.random.default_rng(seed).random(n) + 0.05
+            assert_same_rate(sb.ScenarioConfig(
+                kind=kind, n=n, m=m, k=k, weights=weights, trials=trials, seed=seed,
+            ))
+
+    @pytest.mark.parametrize("kind, n, m, k", SAMPLED_KINDS[::2])
+    def test_default_block_size_spans_blocks(self, kind, n, m, k):
+        trials = scenarios.TRIAL_BLOCK_ROWS + 1
+        for seed in (3, 11):
+            assert_same_rate(sb.ScenarioConfig(
+                kind=kind, n=n, m=m, k=k, zipf_s=0.9, trials=trials, seed=seed,
+            ))
+
+    def test_zero_weights(self, monkeypatch):
+        # zero-probability tail entries: flat cdf steps and -inf Gumbel keys
+        monkeypatch.setattr(scenarios, "TRIAL_BLOCK_ROWS", 7)
+        dist = sb.make_distribution([3.0, 0.0, 2.0, 1.0, 0.0, 0.5])
+        for seed in (1, 2):
+            for m, k in ((2, 2), (3, 1), (4, 3)):
+                rng, ref = derive_rng(seed, 0), derive_rng(seed, 0)
+                got = scenarios._sample_hits_repeated(dist, m, k, 30, rng)
+                assert got.hex() == reference_hits_repeated(dist, m, k, 30, ref).hex()
+                rng, ref = derive_rng(seed, 0), derive_rng(seed, 0)
+                got = scenarios._sample_hits_unique(dist, m, k, 30, rng)
+                assert got.hex() == reference_hits_unique(dist, m, k, 30, ref).hex()
+                rng, ref = derive_rng(seed, 0), derive_rng(seed, 0)
+                got = scenarios._sample_misses_single(dist, m, 30, rng)
+                assert got.hex() == reference_misses_single(dist, m, 30, ref).hex()
+
+
+class TestChoiceInputChecks:
+    """What reaches the samplers already passes the checks ``choice`` made.
+
+    ``Generator.choice`` rejected negative ``p`` and sums more than
+    ``sqrt(eps)`` (about 1.5e-8) from 1.  A ``SortedDistribution`` clips
+    entries down to -1e-12 to 0 and rejects sums more than 1e-9 from 1, so
+    every distribution it accepts is one ``choice`` accepts.
+    """
+
+    @pytest.mark.parametrize("defect", [-0.99e-9, 0.99e-9])
+    def test_accepted_edges_pass_choice(self, defect):
+        dist = sb.SortedDistribution([0.5, 0.3, 0.2 + defect, 0.0, -1e-13])
+        assert (dist.probs >= 0.0).all()
+        assert 1e-9 < math.sqrt(np.finfo(float).eps)
+        np.random.default_rng(0).choice(dist.n, size=4, p=dist.probs)  # no raise
+
+    @pytest.mark.parametrize(
+        "probs", [[0.5, 0.3, 0.2 + 2e-9], [0.5, 0.3, 0.2 - 2e-9], [0.6, 0.4, -2e-12]]
+    )
+    def test_beyond_edges_rejected(self, probs):
+        with pytest.raises(sb.InvalidEntryError):
+            sb.SortedDistribution(probs)
+
+
+def test_repeated_sampler_memory_does_not_grow_with_trials():
+    dist = sb.make_distribution(sb.zipf_weights(40, 0.8))
+    rng = derive_rng(1, 0)
+    tracemalloc.start()
+    try:
+        scenarios._sample_hits_repeated(dist, 8, 3, 2_000_000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (trials, 3) array of doubles would be 48 MB; one block is 1.5 MB
+    assert peak < 4 * 2**20
