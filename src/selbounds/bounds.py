@@ -11,13 +11,13 @@ junction-indexed relaxations of the minimum-entropy curve with the
 the feasible interval ``[0, (n-m)/n]``; the unclamped values are kept for
 transparency.
 
-*Tight numeric bounds.*  The exact extremal curves are inverted
-numerically: the lower bound bisects the strictly increasing maximum
-entropy ``H_max(pi)``; the upper bound bisects the exact discrete minimum
-``H_min(pi)``, which is non-decreasing.  Take any feasible ``p`` with tail
-mass ``pi' > pi`` and move ``pi' - pi`` from its smallest tail entries
-onto ``p[0]``: the result is still sorted, has tail mass ``pi`` and
-majorizes ``p``, so its entropy is no higher.  Hence
+*Tight numeric bounds.*  The exact extremal curves are inverted by one
+batched bisection, :func:`_bisect`: the lower bound bisects the strictly
+increasing maximum entropy ``H_max(pi)``; the upper bound bisects the
+exact discrete minimum ``H_min(pi)``, which is non-decreasing.  Take any
+feasible ``p`` with tail mass ``pi' > pi`` and move ``pi' - pi`` from its
+smallest tail entries onto ``p[0]``: the result is still sorted, has tail
+mass ``pi`` and majorizes ``p``, so its entropy is no higher.  Hence
 ``H_min(pi) <= H_min(pi')``, and ``{pi : H_min(pi) <= h}`` is an interval
 starting at 0 whose right end the bisection finds.  The ``grid`` and
 ``tight_grid`` parameters are accepted for compatibility and ignored.
@@ -42,10 +42,10 @@ from .core import (
     tail_probability,
 )
 from .errors import BadEntropyError, BadKError
-from .transform import transform_repeated, transform_unique
+from .transform import TransformedSystem, transform_repeated, transform_unique
 from .extrema import (
     _index_bound,
-    max_entropy_value,
+    max_entropy_values,
     min_entropy_values,
 )
 
@@ -152,8 +152,28 @@ def flawed_pi_lower_bound(n: int, m: int, h: float) -> float:
     return (float(h) - 1.0 - math.log2(m)) / den
 
 
+def _bisect(top: float, floor, ceiling, below) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect ``[0, top]`` per element until its own bracket is ``_INVERSION_EPS`` wide.
+
+    Elements flagged ``floor`` stay at 0, the rest flagged ``ceiling`` at
+    ``top``; ``below(mid, idx)`` flags open midpoints left of the answer.
+    """
+    lo = np.where(ceiling & ~floor, top, 0.0)
+    hi = np.where(floor, 0.0, top)
+    while (idx := np.flatnonzero(hi - lo > _INVERSION_EPS)).size:
+        mid = 0.5 * (lo[idx] + hi[idx])
+        left = below(mid, idx)
+        lo[idx[left]] = mid[left]
+        hi[idx[~left]] = mid[~left]
+    return lo, hi
+
+
 class TightInverter:
-    """Numeric inversion of the exact extremal-entropy curves for (n, m)."""
+    """Numeric inversion of the exact extremal-entropy curves for (n, m).
+
+    ``lower`` and ``upper`` take a float (returning a float) or a 1-D array
+    (returning an array); a batched answer equals the scalar one bit for bit.
+    """
 
     def __init__(self, n: int, m: int, grid: int = 4096):
         validate_counts(n, m)
@@ -161,41 +181,30 @@ class TightInverter:
         self.m = int(m)
         self.pi_top = (n - m) / n
 
-    def lower(self, h: float) -> float:
+    def lower(self, h):
         """Least tail mass whose maximum entropy reaches h."""
         n, m = self.n, self.m
-        if m == n or h <= math.log2(m) + _INVERSION_EPS:
-            return 0.0
-        if h >= math.log2(n) - _INVERSION_EPS:
-            return self.pi_top
-        lo, hi = 0.0, self.pi_top
-        while hi - lo > _INVERSION_EPS:
-            mid = 0.5 * (lo + hi)
-            if max_entropy_value(n, m, mid) < h:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        hs = np.atleast_1d(np.asarray(h, dtype=float))
+        lo, hi = _bisect(
+            self.pi_top,
+            hs <= math.log2(m) + _INVERSION_EPS,
+            hs >= math.log2(n) - _INVERSION_EPS,
+            lambda mid, idx: max_entropy_values(n, m, mid) < hs[idx],
+        )
+        pis = 0.5 * (lo + hi)
+        return pis if np.ndim(h) else float(pis[0])
 
     def upper(self, h):
-        """Greatest tail mass whose minimum entropy stays at or below h.
-
-        ``h`` is a float (returns a float) or a 1-D array (returns an
-        array).  Every element is bisected from the same bracket
-        ``[0, pi_top]`` and stops on its own width, so a batched answer
-        equals the scalar one bit for bit.
-        """
+        """Greatest tail mass whose minimum entropy stays at or below h."""
+        n, m = self.n, self.m
         hs = np.atleast_1d(np.asarray(h, dtype=float))
         target = hs + _INVERSION_EPS
-        h_top = min_entropy_values(self.n, self.m, np.atleast_1d(self.pi_top))
-        small = hs <= _INVERSION_EPS  # any positive tail forces positive entropy
-        lo = np.where(~small & (h_top <= target), self.pi_top, 0.0)
-        hi = np.where(small, 0.0, self.pi_top)
-        while (idx := np.flatnonzero(hi - lo > _INVERSION_EPS)).size:
-            mid = 0.5 * (lo[idx] + hi[idx])
-            ok = min_entropy_values(self.n, self.m, mid) <= target[idx]
-            lo[idx[ok]] = mid[ok]
-            hi[idx[~ok]] = mid[~ok]
+        lo, _ = _bisect(
+            self.pi_top,
+            hs <= _INVERSION_EPS,  # any positive tail forces positive entropy
+            min_entropy_values(n, m, np.atleast_1d(self.pi_top)) <= target,
+            lambda mid, idx: min_entropy_values(n, m, mid) <= target[idx],
+        )
         return lo if np.ndim(h) else float(lo[0])
 
 
@@ -359,26 +368,22 @@ def bounds_for_k(
 
     Transforms the system into its k-combination (``unique``) or
     k-multiset (``repeated``) equivalent, measures the transformed entropy,
-    and applies the direct bounds at the transformed size.  The report's
-    ``pi_observed`` carries the transformed sorted tail mass (the optimal
-    strategy's exact error probability in the transformed system).
+    and applies the direct bounds at the transformed size.
     """
     if mode not in ("unique", "repeated"):
         raise BadKError(f"mode must be 'unique' or 'repeated', got {mode!r}")
-    kwargs = {} if max_composites is None else {"max_composites": max_composites}
-    if mode == "unique":
-        ts = transform_unique(dist, m, k, **kwargs)
-    else:
-        ts = transform_repeated(dist, m, k, **kwargs)
-    h_prime = entropy(ts.dist)
+    transform = transform_unique if mode == "unique" else transform_repeated
+    ts = transform(dist, m, k, max_composites=max_composites)
+    return transformed_report(ts, include_flawed, tol)
+
+
+def transformed_report(
+    ts: TransformedSystem, include_flawed: bool = False, tol: float = DEFAULT_TOLERANCE
+) -> BoundReport:
+    """Direct bounds at ``ts``'s size; ``pi_observed`` is its sorted tail mass."""
     return build_report(
-        ts.n_prime,
-        ts.m_prime,
-        h_prime,
-        k=k,
-        mode=mode,
-        include_flawed=include_flawed,
-        tol=tol,
+        ts.n_prime, ts.m_prime, entropy(ts.dist), k=ts.k, mode=ts.mode,
+        include_flawed=include_flawed, tol=tol,
         pi_observed=tail_probability(ts.dist, ts.m_prime),
         selection_mismatch=ts.selection_mismatch,
     )

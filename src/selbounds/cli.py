@@ -323,7 +323,7 @@ def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
         meta = {"which": "max", "n": shape.n, "m": shape.m, "pi": shape.pi,
                 "entropy_bits": bits, "probs": [float(p) for p in dist.probs]}
     else:
-        result = min_entropy(shape, args.tolerance)
+        result = min_entropy(shape)
         dist = result.argmin_distribution
         bits = result.min_entropy_bits
         meta = {
@@ -348,7 +348,7 @@ def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
 
 def _cmd_curve(args) -> tuple[str | Iterable[str], str | None]:
     shape = SystemShape(args.n, args.m, args.pi)
-    samples = piecewise_curve(shape, args.samples, args.tolerance)
+    samples = piecewise_curve(shape, args.samples)
     if args.format == "json":
         return _json({
             "n": shape.n, "m": shape.m, "pi": shape.pi,
@@ -451,7 +451,7 @@ def _cmd_oracle_check(args) -> tuple[str, str | None]:
         shape = SystemShape(args.n, args.m, args.pi)
         rng = derive_rng(seed, 1)
         found = oracle_min_entropy(shape, args.restarts, args.iters, rng)
-        exact = min_entropy(shape, args.tolerance).min_entropy_bits
+        exact = min_entropy(shape).min_entropy_bits
         return _json({
             "check": "min_entropy", "n": shape.n, "m": shape.m, "pi": shape.pi,
             "restarts": args.restarts, "iters": args.iters, "seed": seed,

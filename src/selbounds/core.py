@@ -69,14 +69,6 @@ def entropy_bits(probs: np.ndarray) -> float:
     return float(max(-(p * np.log2(p)).sum(), 0.0))
 
 
-def entropy_bits_rows(probs: np.ndarray) -> np.ndarray:
-    """Row-wise base-2 entropy for a 2-D array of probability vectors."""
-    p = np.asarray(probs, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > ZERO_FLOOR, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return np.maximum(terms.sum(axis=-1), 0.0)
-
-
 @dataclass(frozen=True)
 class SortedDistribution:
     """A probability vector sorted in non-increasing order.

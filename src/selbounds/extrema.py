@@ -62,12 +62,18 @@ def max_entropy_distribution(shape: SystemShape) -> SortedDistribution:
         return SortedDistribution(probs)
 
 
+def max_entropy_values(n: int, m: int, pis: np.ndarray) -> np.ndarray:
+    """:func:`max_entropy` over many tail masses (no tail term at pi <= ZERO_FLOOR)."""
+    pis = np.asarray(pis, dtype=float)
+    tail = pis > ZERO_FLOOR
+    ratio = np.divide(n - m, pis, out=np.ones(pis.shape), where=tail)
+    value = (1.0 - pis) * np.log2(m / (1.0 - pis))
+    return np.maximum(value + np.where(tail, pis * np.log2(ratio), 0.0), 0.0)
+
+
 def max_entropy_value(n: int, m: int, pi: float) -> float:
-    """Closed form for the maximum entropy at shape (n, m, pi)."""
-    value = (1.0 - pi) * math.log2(m / (1.0 - pi))
-    if pi > ZERO_FLOOR:
-        value += pi * math.log2((n - m) / pi)
-    return max(value, 0.0)
+    """Scalar convenience wrapper over :func:`max_entropy_values`."""
+    return float(max_entropy_values(n, m, np.asarray([pi]))[0])
 
 
 def max_entropy(shape: SystemShape) -> float:
@@ -127,8 +133,10 @@ def candidate_set(shape: SystemShape, tol: float = DEFAULT_TOLERANCE) -> np.ndar
     """Discrete p_hat values among which the entropy minimum must lie.
 
     Emits ``pi/(n-m-j+1)`` for ``j = 1..y`` plus the right endpoint
-    ``(1-pi)/m``, deduplicated within ``tol``; values are ascending and lie
-    inside ``[pi/(n-m), (1-pi)/m]``.
+    ``(1-pi)/m``, clipped into ``[pi/(n-m), (1-pi)/m]`` and ascending.  Only
+    equal values are merged: at small ``pi`` distinct junctions lie closer
+    than any fixed tolerance.  ``tol`` is accepted for compatibility and
+    ignored.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     if m < 2:
@@ -136,16 +144,10 @@ def candidate_set(shape: SystemShape, tol: float = DEFAULT_TOLERANCE) -> np.ndar
     if pi <= ZERO_FLOOR:
         raise InfeasibleError("candidate_set requires pi > 0 (pi = 0 is degenerate)")
     y = _index_bound(n, m, pi)
-    lo = pi / (n - m)
     hi = (1.0 - pi) / m
-    raw = [pi / (n - m - j + 1) for j in range(1, y + 1)]
-    raw.append(hi)
-    merged: list[float] = []
-    for value in raw:  # already ascending: denominators shrink
-        value = min(max(value, lo), hi)
-        if not merged or value > merged[-1] + tol:
-            merged.append(value)
-    return np.asarray(merged)
+    junctions = pi / np.arange(n - m, n - m - y, -1)  # j = 1..y, ascending
+    values = np.clip(np.append(junctions, hi), pi / (n - m), hi)
+    return values[np.append(True, np.diff(values) > 0)]
 
 
 def _tail_split(pi, p_hat):
@@ -273,7 +275,7 @@ def min_entropy(shape: SystemShape, tol: float = DEFAULT_TOLERANCE) -> MinEntrop
     the single candidate ``p_hat = 1 - pi``, the staircase.  Otherwise the
     entropy of every :func:`candidate_set` value comes from one closed-form
     kernel call and the lowest-index argmin is returned.  No distribution
-    is built until a caller reads one.
+    is built until a caller reads one.  ``tol`` is ignored.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     y = _index_bound(n, m, pi)
@@ -287,7 +289,7 @@ def min_entropy(shape: SystemShape, tol: float = DEFAULT_TOLERANCE) -> MinEntrop
         bits = float(copies * _fe(step) + _fe(remainder))
         cand = CandidateEvaluation(step, bits, shape)
         return MinEntropyResult(shape, y, (cand,), 0, bits)
-    p_hats = candidate_set(shape, tol)
+    p_hats = candidate_set(shape)
     bits = _candidate_entropies(m, pi, p_hats)
     argmin = int(np.argmin(bits))
     candidates = tuple(
@@ -302,8 +304,10 @@ def min_entropy_values(n: int, m: int, pis: np.ndarray) -> np.ndarray:
     Closed-form evaluation of the candidate entropies (no distributions are
     built): the right endpoint through the same kernel as
     :func:`min_entropy`, the junctions in one block per chunk of ``pis``.
-    Agrees with :func:`min_entropy` within tolerance.  Used by the
-    bisection that inverts the minimum-entropy curve.
+    For ``m >= 2`` it equals :func:`min_entropy` bit for bit while every
+    junction ``pi/s`` is at least ``REMAINDER_SNAP``; below that the
+    kernel's snap can drop a tail slot that the junction rows keep.  Used by
+    the bisection that inverts the minimum-entropy curve.
     """
     pis = np.clip(np.asarray(pis, dtype=float), 0.0, (n - m) / n)
     out = np.zeros(pis.shape)
@@ -360,7 +364,7 @@ def piecewise_curve(
     closed-form kernel and tail split as :func:`min_entropy`, so branch
     bookkeeping can never disagree with the construction.
     ``segment_index`` counts how many full tail slots have been given up
-    relative to the uniform-tail left endpoint.
+    relative to the uniform-tail left endpoint.  ``tol`` is ignored.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     if m < 2:
@@ -369,7 +373,7 @@ def piecewise_curve(
         raise InfeasibleError("piecewise_curve requires pi > 0")
     if samples < 2:
         raise BadConfigError(f"samples must be >= 2, got {samples}")
-    junctions = candidate_set(shape, tol)
+    junctions = candidate_set(shape)
     lo = pi / (n - m)
     hi = (1.0 - pi) / m
     grid = np.linspace(lo, hi, samples)

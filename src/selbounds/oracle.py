@@ -10,7 +10,6 @@ machinery they double-check.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -199,8 +198,7 @@ def _sweep_shape(
     n, m = config.shapes[shape_index]
     inverter = TightInverter(n, m)
     top = math.log2(n)
-    out = []
-    pending = []  # (index into out, clamped entropy) awaiting the tight upper bound
+    rows = []  # (h, pi_obs, lb, ub, clamped h) per scenario; None where it failed
     for scenario_id in range(config.scenarios_per_shape):
         rng = derive_rng(config.seed, shape_index, scenario_id)
         try:
@@ -210,21 +208,24 @@ def _sweep_shape(
             h_c = min(max(h, 0.0), top)
             lb = pi_lower_bound(n, m, h_c, tol)
             ub = pi_upper_bound(n, m, h_c, tol)
-            lt = inverter.lower(h_c)
+            row = (h, pi_obs, lb, ub, h_c)
         except Exception:  # failures are data; the sweep never aborts
+            row = None
+        rows.append(row)
+    hs = np.array([row[-1] for row in rows if row is not None], dtype=float)
+    try:  # one batched inversion per bound: a failure fails the whole shape
+        tight = zip(inverter.lower(hs).tolist(), inverter.upper(hs).tolist())
+    except Exception:
+        return [_nan_record(i, n, m) for i in range(len(rows))]
+    out = []
+    for scenario_id, row in enumerate(rows):
+        if row is None:
             out.append(_nan_record(scenario_id, n, m))
             continue
+        h, pi_obs, lb, ub, _ = row
         violation = not (lb - tol <= pi_obs <= ub + tol)
-        pending.append((len(out), h_c))
-        out.append(
-            SweepRecord(scenario_id, n, m, h, pi_obs, lb, ub, lt, math.nan, violation)
-        )
-    try:
-        uts = inverter.upper(np.array([h_c for _, h_c in pending], dtype=float))
-    except Exception:  # one batched inversion per shape: it fails the whole shape
-        return [_nan_record(i, n, m) for i in range(config.scenarios_per_shape)]
-    for (index, _), ut in zip(pending, uts.tolist()):
-        out[index] = dataclasses.replace(out[index], pi_ub_tight=ut)
+        lt, ut = next(tight)
+        out.append(SweepRecord(scenario_id, n, m, h, pi_obs, lb, ub, lt, ut, violation))
     return out
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundReport, build_report
+from .bounds import BoundReport, build_report, transformed_report
 from .core import (
     DEFAULT_TOLERANCE,
     SortedDistribution,
@@ -32,7 +32,7 @@ from .core import (
 )
 from .errors import BadConfigError
 from .rng import derive_rng
-from .transform import TransformedSystem, transform_repeated, transform_unique
+from .transform import transform_repeated, transform_unique
 
 SCENARIO_KINDS = ("cache_single", "cache_multipage", "cache_multiuser", "scheduling")
 
@@ -184,16 +184,22 @@ class ScenarioReport:
 #: block consumes the Philox stream exactly as one full-size draw would.
 TRIAL_BLOCK_ROWS = 65_536
 
+#: Gumbel keys drawn per block: a Gumbel trial draws one key per object, so
+#: its blocks hold ``max(1, GUMBEL_BLOCK_CELLS // n)`` trials and stay about
+#: the size of a ``TRIAL_BLOCK_ROWS`` block of a few uniforms whatever n is.
+GUMBEL_BLOCK_CELLS = 1 << 18
 
-def _count_in_blocks(trials: int, count_block) -> int:
-    """Sum ``count_block(rows)`` over consecutive blocks covering ``trials``.
 
-    The count is an exact integer, so ``count / trials`` is rounded once and
-    equals ``np.mean`` of the per-trial boolean outcomes bit for bit.
+def _count_in_blocks(trials: int, count_block, rows: int | None = None) -> int:
+    """Sum ``count_block(r)`` over consecutive blocks of ``rows`` trials.
+
+    ``rows`` defaults to ``TRIAL_BLOCK_ROWS``.  The count is an exact
+    integer, so ``count / trials`` is rounded once and equals ``np.mean`` of
+    the per-trial boolean outcomes bit for bit.
     """
+    rows = rows or TRIAL_BLOCK_ROWS
     return sum(
-        count_block(min(TRIAL_BLOCK_ROWS, trials - start))
-        for start in range(0, trials, TRIAL_BLOCK_ROWS)
+        count_block(min(rows, trials - start)) for start in range(0, trials, rows)
     )
 
 
@@ -245,7 +251,8 @@ def _sample_hits_unique(
         tail_max = keys[:, m:].max(axis=1)
         return int(np.count_nonzero(head_kth > tail_max))
 
-    return _count_in_blocks(trials, count_block) / trials
+    rows = max(1, GUMBEL_BLOCK_CELLS // n)
+    return _count_in_blocks(trials, count_block, rows) / trials
 
 
 def _sample_hits_repeated(
@@ -309,7 +316,7 @@ def cache_scenario(
             if cfg.trials > 0:
                 empirical = 1.0 - _sample_hits_repeated(dist, cfg.m, cfg.k, cfg.trials, rng)
         exact = 1.0 - ts.selected_probability
-        report = _transformed_report(ts, cfg.k, tol)
+        report = transformed_report(ts, tol=tol)
     return ScenarioReport(
         kind=cfg.kind,
         orientation="error",
@@ -337,7 +344,7 @@ def scheduling_scenario(
     rng = derive_rng(cfg.seed, 0)
     selected = tuple(int(i) for i in dist.original_index[: cfg.m])
     ts = transform_unique(dist, cfg.m, cfg.m, tol)
-    report = _transformed_report(ts, cfg.m, tol)
+    report = transformed_report(ts, tol=tol)
     empirical = None
     if cfg.trials > 0:
         empirical = _sample_hits_unique(dist, cfg.m, cfg.m, cfg.trials, rng)
@@ -350,19 +357,6 @@ def scheduling_scenario(
         within_bounds=_within(report, tol),
         selected_ids=selected,
         trials=cfg.trials,
-    )
-
-
-def _transformed_report(ts: TransformedSystem, k: int, tol: float) -> BoundReport:
-    return build_report(
-        ts.n_prime,
-        ts.m_prime,
-        entropy(ts.dist),
-        k=k,
-        mode=ts.mode,
-        tol=tol,
-        pi_observed=tail_probability(ts.dist, ts.m_prime),
-        selection_mismatch=ts.selection_mismatch,
     )
 
 

@@ -55,6 +55,31 @@ def mp_min_entropy_m1(n, pi) -> float:
     return float(total)
 
 
+def mp_min_entropy(n, m, pi) -> float:
+    """50-digit minimum entropy for m >= 2 over the junctions and right endpoint.
+
+    Junction ``s`` fills ``s`` tail slots with ``p = pi/s`` (when ``p`` fits
+    under the right endpoint ``(1-pi)/m``); the right endpoint holds as many
+    full slots as fit plus the exact remainder.  The head is ``m - 1``
+    copies of ``p`` plus the balancing entry.
+    """
+    pi = mpf(repr(float(pi)))
+    hi = (1 - pi) / m
+
+    def bits(p, tail):
+        head = (1 - pi) - (m - 1) * p
+        return -head * mp_log2(head) - (m - 1) * p * mp_log2(p) + tail
+
+    copies = min(int(mp.floor(pi / hi)), n - m)
+    rest = pi - copies * hi
+    best = bits(hi, -copies * hi * mp_log2(hi) - (rest * mp_log2(rest) if rest > 0 else 0))
+    for s in range(1, n - m + 1):
+        p = pi / s
+        if p <= hi:
+            best = min(best, bits(p, -pi * mp_log2(p)))
+    return float(best)
+
+
 def chain_probability(probs, order) -> float:
     """Without-replacement chain product, plain Python floats."""
     remaining = 1.0

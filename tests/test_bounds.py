@@ -176,14 +176,16 @@ class TestTightUpperInversion:
                     got = inverter.upper(float(h))
                     assert lo - 1e-12 <= got <= hi + 1e-12, (n, m, h)
 
-    def test_batched_equals_scalar(self, rng):
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_batched_equals_scalar(self, rng, bound):
         for n, m in self._shapes(rng) + [(7, 7)]:
             top = math.log2(n)
-            hs = np.concatenate([[0.0, 1e-13, top], rng.uniform(0.0, top, 20)])
-            inverter = sb.TightInverter(n, m)
-            batch = inverter.upper(hs)
+            edges = [0.0, 1e-13, math.log2(m), math.log2(m) + 1e-13, top - 1e-13, top]
+            hs = np.concatenate([edges, rng.uniform(0.0, top, 20)])
+            invert = getattr(sb.TightInverter(n, m), bound)
+            batch = invert(hs)
             assert isinstance(batch, np.ndarray) and batch.shape == hs.shape
-            scalar = [inverter.upper(float(h)) for h in hs]
+            scalar = [invert(float(h)) for h in hs]
             assert all(isinstance(v, float) for v in scalar)
             assert batch.tolist() == scalar, (n, m)
 
@@ -227,13 +229,14 @@ class TestSandwichAndNesting:
             pi = float(rng.uniform(0, (n - m) / n)) if m < n else 0.0
             inverter = sb.TightInverter(n, m, grid=1024)
             rows = feasible_batch(n, m, pi, 25, rng)
-            for row in rows:
-                h = float(batch_entropy(row[None, :])[0])
-                h = min(max(h, 0.0), math.log2(n))
+            hs = np.array([float(batch_entropy(row[None, :])[0]) for row in rows])
+            hs = np.clip(hs, 0.0, math.log2(n))
+            # one batched call per bound; batched equals scalar bit for bit
+            tight = zip(inverter.lower(hs).tolist(), inverter.upper(hs).tolist())
+            for row, h, (lt, ut) in zip(rows, hs.tolist(), tight):
                 pi_obs = float(row[m:].sum())
                 lb = sb.pi_lower_bound(n, m, h)
                 ub = sb.pi_upper_bound(n, m, h)
-                lt, ut = sb.pi_bounds_tight(n, m, h, inverter=inverter)
                 assert lb - 1e-9 <= lt <= pi_obs + 1e-9
                 assert pi_obs - 1e-9 <= ut <= ub + 1e-9
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import selbounds as sb
+from helpers import mp_min_entropy
 from selbounds.cli import main
 
 
@@ -276,6 +277,21 @@ class TestOracleCheckCommand:
         assert doc["oracle_entropy_bits"] == pytest.approx(
             doc["exact_min_entropy_bits"], abs=1e-6
         )
+
+    def test_min_entropy_check_at_small_pi(self, capsys):
+        # at pi = 1e-6 junctions lie closer than 1e-9; merging them left the
+        # exact minimum 3.5e-9 bits too high, so the oracle went below it
+        code, out, _ = run_cli(
+            capsys, "oracle-check", "--min-entropy", "--n", "200", "--m", "10",
+            "--pi", "1e-6", "--restarts", "1", "--iters", "1",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        truth = mp_min_entropy(200, 10, 1e-6)
+        # the head entry 1 - pi - 9*p is within an ulp of 1, where -x*log2(x)
+        # has slope 1.44: both sides may round about 3e-16 from the truth
+        assert doc["exact_min_entropy_bits"] == pytest.approx(truth, rel=0, abs=1e-15)
+        assert doc["oracle_minus_exact"] >= -1e-15
 
     def test_transform_check(self, capsys):
         code, out, _ = run_cli(

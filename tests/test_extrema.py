@@ -11,6 +11,7 @@ from helpers import (
     feasible_batch,
     mp_entropy,
     mp_max_entropy,
+    mp_min_entropy,
     mp_min_entropy_m1,
 )
 
@@ -136,6 +137,29 @@ class TestCandidateSet:
             hi = (1.0 - shape.pi) / shape.m
             assert (cands >= lo - 1e-12).all() and (cands <= hi + 1e-12).all()
             assert (np.diff(cands) > 0).all()
+
+    def test_junctions_closer_than_tolerance_are_kept(self):
+        # at pi = 4.55e-9 neighbouring junctions pi/s lie about 4e-14 apart;
+        # merging them within 1e-9 dropped the minimum (7% too high)
+        shape = sb.SystemShape(346, 2, 4.55e-9)
+        cands = sb.candidate_set(shape)
+        assert len(cands) == sb.min_entropy(shape).index_bound + 1
+        bits = sb.min_entropy(shape).min_entropy_bits
+        assert bits == sb.min_entropy_value(346, 2, shape.pi)
+        assert bits == pytest.approx(mp_min_entropy(346, 2, shape.pi), rel=1e-12, abs=1e-15)
+
+    def test_min_entropy_equals_fast_path_exactly(self):
+        # m >= 2, n <= 1000 and pi >= 1e-9*(n-m)/n keep every junction pi/s at
+        # or above REMAINDER_SNAP; there the search and the vectorized H_min
+        # that the tight bounds invert agree bit for bit
+        rng = np.random.default_rng(7)
+        for _ in range(1500):
+            n = int(rng.integers(3, 1001))
+            m = int(rng.integers(2, n))
+            top = (n - m) / n
+            shape = sb.SystemShape(n, m, float(top * 10 ** rng.uniform(-9, 0)))
+            exact = sb.min_entropy(shape).min_entropy_bits
+            assert exact == sb.min_entropy_value(n, m, shape.pi), (n, m, shape.pi)
 
 
 class TestAssembleMinCandidate:

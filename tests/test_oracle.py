@@ -82,21 +82,37 @@ class TestSweep:
         multi, _ = sb.run_sweep(config, threads=4)
         assert sb.records_to_csv(solo) == sb.records_to_csv(multi)
 
-    def test_failed_inversion_fails_only_its_shape(self, monkeypatch):
-        upper = sb.TightInverter.upper
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_failed_inversion_fails_only_its_shape(self, monkeypatch, bound):
+        invert = getattr(sb.TightInverter, bound)
 
-        def flaky_upper(self, h):
+        def flaky(self, h):
             if self.n == 8:
                 raise FloatingPointError("injected")
-            return upper(self, h)
+            return invert(self, h)
 
-        monkeypatch.setattr(sb.TightInverter, "upper", flaky_upper)
+        monkeypatch.setattr(sb.TightInverter, bound, flaky)
         config = sb.SweepConfig(((15, 4), (8, 6)), 6, 3)
         records, summary = sb.run_sweep(config)
         assert [r.scenario_id for r in records] == list(range(6)) * 2
         assert all(math.isfinite(r.pi_ub_tight) for r in records[:6])
         assert all(math.isnan(r.entropy_bits) and r.violation for r in records[6:])
         assert summary["failures"] == 6
+
+    def test_one_batched_inversion_per_bound_and_shape(self, monkeypatch):
+        calls = []
+        for bound in ("lower", "upper"):
+            invert = getattr(sb.TightInverter, bound)
+
+            def counted(self, h, invert=invert, bound=bound):
+                calls.append((bound, self.n, np.shape(h)))
+                return invert(self, h)
+
+            monkeypatch.setattr(sb.TightInverter, bound, counted)
+        sb.run_sweep(sb.SweepConfig(((15, 4), (8, 6)), 6, 3))
+        assert sorted(calls) == sorted(
+            (bound, n, (6,)) for bound in ("lower", "upper") for n in (15, 8)
+        )
 
     def test_csv_shape_and_determinism(self):
         config = sb.SweepConfig(((6, 2),), 4, 21)

@@ -343,3 +343,30 @@ def test_repeated_sampler_memory_does_not_grow_with_trials():
         tracemalloc.stop()
     # one (trials, 3) array of doubles would be 48 MB; one block is 1.5 MB
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("cells", [1, 20, 63])
+@pytest.mark.parametrize(
+    "kind, n, m, k", [s for s in SAMPLED_KINDS if s[0] in ("cache_multipage", "scheduling")]
+)
+def test_gumbel_blocks_sized_by_cells(monkeypatch, cells, kind, n, m, k):
+    # blocks of max(1, cells // n) trials, one trial per block when cells < n
+    monkeypatch.setattr(scenarios, "GUMBEL_BLOCK_CELLS", cells)
+    for seed in (0, 5):
+        weights = np.random.default_rng(seed).random(n) + 0.05
+        assert_same_rate(sb.ScenarioConfig(
+            kind=kind, n=n, m=m, k=k, weights=weights, trials=25, seed=seed,
+        ))
+
+
+def test_gumbel_sampler_memory_does_not_grow_with_trials():
+    dist = sb.make_distribution(sb.zipf_weights(200, 0.9))
+    rng = derive_rng(2, 0)
+    tracemalloc.start()
+    try:
+        scenarios._sample_hits_unique(dist, 20, 2, 10_000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (trials, n) array of keys would be 16 MB; one block is 2 MB
+    assert peak < 8 * 2**20
