@@ -9,7 +9,9 @@ maximum-entropy curve and is only informative when ``m < n/2`` (for
 junction-indexed relaxations of the minimum-entropy curve with the
 ``1 - h/log2(m)`` entry and takes their maximum.  Both are clamped into
 the feasible interval ``[0, (n-m)/n]``; the unclamped values are kept for
-transparency.
+transparency.  One batched helper, :func:`_analytic_bounds`, evaluates
+and clamps them for an array of entropies; the scalar functions, the
+report and the sweep all call it.
 
 *Tight numeric bounds.*  The exact extremal curves are inverted by one
 batched bisection, :func:`_bisect`: the lower bound bisects the strictly
@@ -89,49 +91,66 @@ def entropy_lower_bound(shape: SystemShape, tol: float = DEFAULT_TOLERANCE) -> f
     return max(min(entries), 0.0)
 
 
+def _clamp(x, lo, hi):
+    """``min(max(x, lo), hi)`` per element, ties resolved as Python's ``min``/``max``.
+
+    A bound equal to ``x`` leaves ``x`` in place, so ``-0.0`` survives.
+    """
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
+def _analytic_bounds(n: int, m: int, hs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Analytic ``(lb, ub, lb_raw, ub_raw)`` at each entropy of ``hs``.
+
+    ``hs`` is a 1-D array already clamped into ``[0, log2 n]``.  The lower
+    bound is ``(h - 1 - log2 m)/log2(n/m - 1)``, or 0 when ``m >= n/2``.
+    The upper bound is the largest of the junction entries
+    ``h*s/((n-j)*log2(n*s/(n-m)))`` with ``s = n-m-j+1`` over every
+    ``j = 1..n-m`` (a superset of the shape-dependent junction count, which
+    depends on the unknown tail mass; maximizing over the superset is still
+    valid) and, for ``m >= 2``, ``1 - h/log2 m``.  The junction
+    denominators are computed once; each entropy then takes one row of
+    ``n-m`` entries, so memory does not grow with ``len(hs)``.  ``lb`` is
+    clamped into ``[0, (n-m)/n]`` and ``ub`` into ``[lb, (n-m)/n]``.
+    """
+    top = (n - m) / n
+    if 2 * m >= n:
+        lb_raw = np.zeros_like(hs)
+    else:
+        lb_raw = (hs - 1.0 - math.log2(m)) / math.log2(n / m - 1.0)
+    ub_raw = np.zeros_like(hs)  # n = m = 1 has no entry at all
+    if m >= 2:
+        ub_raw = 1.0 - hs / math.log2(m)
+    if m < n:
+        slots = np.arange(n - m, 0, -1, dtype=float)
+        den = (n - np.arange(1, n - m + 1)) * np.log2(n * slots / (n - m))
+        junction = np.array([((h * slots) / den).max() for h in hs.tolist()])
+        # max(junction, entry) as Python takes it: the junction wins ties
+        ub_raw = junction if m == 1 else np.where(ub_raw > junction, ub_raw, junction)
+    lb = _clamp(lb_raw, 0.0, top)
+    return lb, _clamp(ub_raw, lb, top), lb_raw, ub_raw
+
+
+def _analytic_scalar(n: int, m: int, h: float, tol: float) -> tuple[float, ...]:
+    """Validated entropy and its analytic ``(lb, ub, lb_raw, ub_raw)`` as floats."""
+    validate_counts(n, m)
+    h = _check_entropy(n, h, tol)
+    return h, *(float(v[0]) for v in _analytic_bounds(n, m, np.array([h])))
+
+
 def pi_lower_bound(
     n: int, m: int, h: float, tol: float = DEFAULT_TOLERANCE
 ) -> float:
     """Analytic lower bound on the tail mass at entropy h (clamped)."""
-    validate_counts(n, m)
-    h = _check_entropy(n, h, tol)
-    raw = _pi_lower_raw(n, m, h)
-    return min(max(raw, 0.0), (n - m) / n)
-
-
-def _pi_lower_raw(n: int, m: int, h: float) -> float:
-    if 2 * m >= n:
-        return 0.0
-    return (h - 1.0 - math.log2(m)) / math.log2(n / m - 1.0)
+    return _analytic_scalar(n, m, h, tol)[1]
 
 
 def pi_upper_bound(
     n: int, m: int, h: float, tol: float = DEFAULT_TOLERANCE
 ) -> float:
-    """Analytic upper bound on the tail mass at entropy h (clamped).
-
-    The junction entries run over every ``j = 1..n-m`` (a superset of the
-    shape-dependent junction count, which depends on the unknown tail mass;
-    maximizing over the superset is still valid).
-    """
-    validate_counts(n, m)
-    h = _check_entropy(n, h, tol)
-    raw = _pi_upper_raw(n, m, h)
-    return min(max(raw, pi_lower_bound(n, m, h, tol)), (n - m) / n)
-
-
-def _pi_upper_raw(n: int, m: int, h: float) -> float:
-    entries = []
-    if m < n:
-        js = np.arange(1, n - m + 1)
-        slots = (n - m - js + 1).astype(float)
-        vals = h * slots / ((n - js) * np.log2(n * slots / (n - m)))
-        entries.append(float(vals.max()))
-    if m >= 2:
-        entries.append(1.0 - h / math.log2(m))
-    if not entries:
-        return 0.0
-    return max(entries)
+    """Analytic upper bound on the tail mass at entropy h (clamped)."""
+    return _analytic_scalar(n, m, h, tol)[2]
 
 
 def flawed_pi_lower_bound(n: int, m: int, h: float) -> float:
@@ -224,6 +243,12 @@ def pi_bounds_tight(
     return inverter.lower(h), inverter.upper(h)
 
 
+def _merit(n: int, m: int, lb: float, ub: float) -> tuple[float, float]:
+    """``(psi_lb, psi_ub)``: ``1 - ub`` and ``1 - lb`` clamped into ``[m/n, 1]``."""
+    floor = m / n
+    return min(max(1.0 - ub, floor), 1.0), min(max(1.0 - lb, floor), 1.0)
+
+
 def merit_bounds_k1(
     n: int, m: int, h: float, tol: float = DEFAULT_TOLERANCE
 ) -> tuple[float, float]:
@@ -232,10 +257,8 @@ def merit_bounds_k1(
     The upper bound equals the closed form
     ``(log2(n-m) - h + 1) / log2(n/m - 1)`` whenever ``m < n/2``.
     """
-    lb = 1.0 - pi_upper_bound(n, m, h, tol)
-    ub = 1.0 - pi_lower_bound(n, m, h, tol)
-    floor = m / n
-    return min(max(lb, floor), 1.0), min(max(ub, floor), 1.0)
+    _, lb, ub, _, _ = _analytic_scalar(n, m, h, tol)
+    return _merit(n, m, lb, ub)
 
 
 @dataclass(frozen=True)
@@ -309,30 +332,15 @@ def build_report(
     selection_mismatch: bool | None = None,
 ) -> BoundReport:
     """Assemble a full bound report for one (n, m, entropy) query."""
-    validate_counts(n, m)
-    h = _check_entropy(n, entropy_bits, tol)
-    top = (n - m) / n
-    lb_raw = _pi_lower_raw(n, m, h)
-    ub_raw = _pi_upper_raw(n, m, h)
-    clamped = []
-    lb = lb_raw
-    if lb < 0.0:
-        lb = 0.0
-        if lb_raw < 0.0:
-            clamped.append("pi_lb_analytic_at_floor")
-    if lb > top:
-        lb = top
-        clamped.append("pi_lb_analytic_at_ceiling")
-    ub = ub_raw
-    if ub > top:
-        ub = top
-        clamped.append("pi_ub_analytic_at_ceiling")
-    if ub < lb:
-        ub = lb
-        clamped.append("pi_ub_analytic_at_floor")
+    h, lb, ub, lb_raw, ub_raw = _analytic_scalar(n, m, entropy_bits, tol)
+    flags = (
+        ("pi_lb_analytic_at_floor", lb_raw < lb),
+        ("pi_lb_analytic_at_ceiling", lb_raw > lb),
+        ("pi_ub_analytic_at_ceiling", ub_raw > ub),
+        ("pi_ub_analytic_at_floor", ub_raw < ub),
+    )
     lb_tight, ub_tight = pi_bounds_tight(n, m, h, tol=tol, inverter=inverter)
-    psi_lb = min(max(1.0 - ub, m / n), 1.0)
-    psi_ub = min(max(1.0 - lb, m / n), 1.0)
+    psi_lb, psi_ub = _merit(n, m, lb, ub)
     return BoundReport(
         n=int(n),
         m=int(m),
@@ -347,7 +355,7 @@ def build_report(
         pi_ub_raw=ub_raw,
         psi_lb=psi_lb,
         psi_ub=psi_ub,
-        clamped=tuple(clamped),
+        clamped=tuple(name for name, hit in flags if hit),
         flawed_lb=flawed_pi_lower_bound(n, m, h) if include_flawed else None,
         pi_observed=pi_observed,
         selection_mismatch=selection_mismatch,

@@ -352,11 +352,7 @@ def _cmd_curve(args) -> tuple[str | Iterable[str], str | None]:
     if args.format == "json":
         return _json({
             "n": shape.n, "m": shape.m, "pi": shape.pi,
-            "samples": [
-                {"p_hat": s.p_hat, "entropy_bits": s.entropy_bits,
-                 "segment_index": s.segment_index, "is_junction": s.is_junction}
-                for s in samples
-            ],
+            "samples": [dataclasses.asdict(s) for s in samples],
         }), None
     columns = [
         _number_cells([s.p_hat for s in samples]),
@@ -416,19 +412,7 @@ def _cmd_sweep(args) -> tuple[str, str | None]:
     if args.summary_out:
         Path(args.summary_out).write_text(summary_text, encoding="utf-8")
     if args.format == "json":
-        payload = {
-            "records": [
-                {
-                    "scenario_id": r.scenario_id, "n": r.n, "m": r.m,
-                    "entropy_bits": r.entropy_bits, "pi_observed": r.pi_observed,
-                    "pi_lb_analytic": r.pi_lb_analytic, "pi_ub_analytic": r.pi_ub_analytic,
-                    "pi_lb_tight": r.pi_lb_tight, "pi_ub_tight": r.pi_ub_tight,
-                    "violation": r.violation,
-                }
-                for r in records
-            ],
-            "summary": summary,
-        }
+        payload = {"records": [dataclasses.asdict(r) for r in records], "summary": summary}
         return _json(payload), None
     return records_to_csv(records), summary_text
 
@@ -483,13 +467,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with np.errstate(over="raise", invalid="ignore", divide="ignore"):
             body, side_text = _COMMANDS[args.command](args)
-    except ValidationError as exc:
+        _emit(body, args.out)
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:  # bad input or file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericFailureError, ArithmeticError, FloatingPointError) as exc:
         print(f"error: internal numeric failure: {exc}", file=sys.stderr)
         return 2
-    _emit(body, args.out)
     if side_text:
         sys.stderr.write(side_text)
     return 0

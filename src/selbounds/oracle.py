@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import TightInverter, pi_lower_bound, pi_upper_bound
+from .bounds import TightInverter, _analytic_bounds, _clamp
 from .core import (
     DEFAULT_TOLERANCE,
     ZERO_FLOOR,
@@ -187,46 +187,31 @@ def sample_feasible(shape: SystemShape, rng: np.random.Generator) -> SortedDistr
         return SortedDistribution(probs)
 
 
-def _nan_record(scenario_id: int, n: int, m: int) -> SweepRecord:
-    nan = float("nan")
-    return SweepRecord(scenario_id, n, m, nan, nan, nan, nan, nan, nan, True)
-
-
 def _sweep_shape(
     config: SweepConfig, shape_index: int, tol: float
 ) -> list[SweepRecord]:
     n, m = config.shapes[shape_index]
     inverter = TightInverter(n, m)
-    top = math.log2(n)
-    rows = []  # (h, pi_obs, lb, ub, clamped h) per scenario; None where it failed
-    for scenario_id in range(config.scenarios_per_shape):
+    count = config.scenarios_per_shape
+    h, pi_obs = np.full(count, np.nan), np.full(count, np.nan)  # NaN where it failed
+    for scenario_id in range(count):
         rng = derive_rng(config.seed, shape_index, scenario_id)
         try:
             dist = sample_distribution(n, config.sampler, rng)
-            h = entropy(dist)
-            pi_obs = tail_probability(dist, m)
-            h_c = min(max(h, 0.0), top)
-            lb = pi_lower_bound(n, m, h_c, tol)
-            ub = pi_upper_bound(n, m, h_c, tol)
-            row = (h, pi_obs, lb, ub, h_c)
+            h[scenario_id], pi_obs[scenario_id] = entropy(dist), tail_probability(dist, m)
         except Exception:  # failures are data; the sweep never aborts
-            row = None
-        rows.append(row)
-    hs = np.array([row[-1] for row in rows if row is not None], dtype=float)
-    try:  # one batched inversion per bound: a failure fails the whole shape
-        tight = zip(inverter.lower(hs).tolist(), inverter.upper(hs).tolist())
+            pass
+    ok = ~np.isnan(h)
+    hs = _clamp(h[ok], 0.0, math.log2(n))
+    bounds = np.full((4, count), np.nan)  # analytic lb, ub; tight lb, ub
+    try:  # one batched call per kind of bound: a failure fails the whole shape
+        lb, ub, _, _ = _analytic_bounds(n, m, hs)
+        bounds[:, ok] = lb, ub, inverter.lower(hs), inverter.upper(hs)
     except Exception:
-        return [_nan_record(i, n, m) for i in range(len(rows))]
-    out = []
-    for scenario_id, row in enumerate(rows):
-        if row is None:
-            out.append(_nan_record(scenario_id, n, m))
-            continue
-        h, pi_obs, lb, ub, _ = row
-        violation = not (lb - tol <= pi_obs <= ub + tol)
-        lt, ut = next(tight)
-        out.append(SweepRecord(scenario_id, n, m, h, pi_obs, lb, ub, lt, ut, violation))
-    return out
+        h[:] = pi_obs[:] = np.nan
+    violation = ~((bounds[0] - tol <= pi_obs) & (pi_obs <= bounds[1] + tol))
+    rows = zip(h.tolist(), pi_obs.tolist(), *bounds.tolist(), violation.tolist())
+    return [SweepRecord(i, n, m, *row) for i, row in enumerate(rows)]
 
 
 def run_sweep(

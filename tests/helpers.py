@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's code paths: entropies
 are evaluated in 50-digit arithmetic, chains are plain Python loops, and
-the feasible-polytope sampler is a separate numpy implementation.
+the feasible-polytope sampler is a separate numpy implementation.  The
+analytic bounds and the sweep are kept as the earlier scalar, per-record
+code, so the batched library paths can be checked bit for bit against it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 
 import numpy as np
 from mpmath import mp, mpf, log
+
+import selbounds.oracle as oracle
 
 mp.dps = 50
 
@@ -185,3 +189,69 @@ def branch_tail_entropy(p_hat: float, n: int, m: int, pi: float) -> float:
                 out += -rest * math.log2(rest)
             return out
     return -pi * math.log2(pi) if pi > 0 else 0.0  # p_hat > pi: single remainder
+
+
+def reference_analytic(n, m, h):
+    """Scalar analytic bounds at a clamped entropy, one entropy at a time.
+
+    Returns ``(lb, ub, lb_raw, ub_raw, clamped, (psi_lb, psi_ub))`` from the
+    plain formulas, a hand-written clamp and its flags.
+    """
+    if 2 * m >= n:
+        lb_raw = 0.0
+    else:
+        lb_raw = (h - 1.0 - math.log2(m)) / math.log2(n / m - 1.0)
+    entries = []
+    if m < n:
+        js = np.arange(1, n - m + 1)
+        slots = (n - m - js + 1).astype(float)
+        vals = h * slots / ((n - js) * np.log2(n * slots / (n - m)))
+        entries.append(float(vals.max()))
+    if m >= 2:
+        entries.append(1.0 - h / math.log2(m))
+    ub_raw = max(entries) if entries else 0.0
+    top = (n - m) / n
+    clamped = []
+    lb = lb_raw
+    if lb < 0.0:
+        lb = 0.0
+        clamped.append("pi_lb_analytic_at_floor")
+    if lb > top:
+        lb = top
+        clamped.append("pi_lb_analytic_at_ceiling")
+    ub = ub_raw
+    if ub > top:
+        ub = top
+        clamped.append("pi_ub_analytic_at_ceiling")
+    if ub < lb:
+        ub = lb
+        clamped.append("pi_ub_analytic_at_floor")
+    psi = (min(max(1.0 - ub, m / n), 1.0), min(max(1.0 - lb, m / n), 1.0))
+    return lb, ub, lb_raw, ub_raw, tuple(clamped), psi
+
+
+def reference_sweep_shape(config, shape_index, tol):
+    """The sweep of one shape, record by record, with scalar bound calls.
+
+    Samples through ``selbounds.oracle``'s module attributes, so a patched
+    sampler acts here as in the library; any failure makes a NaN record.
+    """
+    n, m = config.shapes[shape_index]
+    inverter = oracle.TightInverter(n, m)
+    nan = float("nan")
+    out = []
+    for scenario_id in range(config.scenarios_per_shape):
+        rng = oracle.derive_rng(config.seed, shape_index, scenario_id)
+        try:
+            dist = oracle.sample_distribution(n, config.sampler, rng)
+            h = oracle.entropy(dist)
+            pi_obs = oracle.tail_probability(dist, m)
+            h_c = min(max(h, 0.0), math.log2(n))
+            lb, ub = reference_analytic(n, m, h_c)[:2]
+            lt, ut = inverter.lower(h_c), inverter.upper(h_c)
+        except Exception:
+            out.append(oracle.SweepRecord(scenario_id, n, m, nan, nan, nan, nan, nan, nan, True))
+            continue
+        violation = not (lb - tol <= pi_obs <= ub + tol)
+        out.append(oracle.SweepRecord(scenario_id, n, m, h, pi_obs, lb, ub, lt, ut, violation))
+    return out

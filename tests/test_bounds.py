@@ -1,11 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from mpmath import mpf
 
 import selbounds as sb
-from helpers import batch_entropy, feasible_batch, mp_entropy, mp_log2, mp_max_entropy
+from helpers import (
+    batch_entropy,
+    feasible_batch,
+    mp_entropy,
+    mp_log2,
+    mp_max_entropy,
+    reference_analytic,
+)
+from selbounds.bounds import _analytic_bounds
 
 
 def mp_pi_lower(n, m, h) -> float:
@@ -310,3 +319,49 @@ class TestBoundsForK:
         d = sb.make_distribution([1, 1])
         with pytest.raises(sb.BadKError):
             sb.bounds_for_k(d, 2, 2, "both")
+
+
+class TestAnalyticReference:
+    """The batched analytic helper against the scalar reference, bit for bit."""
+
+    @staticmethod
+    def _cases(rng, shapes_drawn, entropies_drawn):
+        shapes = [(1, 1), (2, 1), (2, 2), (4, 2), (9, 9), (9, 1), (10, 5), (2000, 1000), (2000, 1)]
+        for _ in range(shapes_drawn):
+            n = int(rng.integers(1, 2001))
+            shapes.append((n, int(rng.integers(1, n + 1))))
+        for n, m in shapes:
+            top = math.log2(n)
+            edges = [0.0, -0.0, -1e-10, math.log2(m), top, top + 1e-10]
+            yield n, m, edges + rng.uniform(0.0, top, entropies_drawn).tolist()
+
+    def test_scalar_api_matches_reference(self, rng):
+        for n, m, hs in self._cases(rng, 25, 4):  # each report also inverts
+            for h in hs:
+                h_c = min(max(h, 0.0), math.log2(n))
+                lb, ub, lb_raw, ub_raw, clamped, psi = reference_analytic(n, m, h_c)
+                r = sb.build_report(n, m, h)
+                got = (r.pi_lb_analytic, r.pi_ub_analytic, r.pi_lb_raw, r.pi_ub_raw,
+                       r.clamped, (r.psi_lb, r.psi_ub))
+                assert repr(got) == repr((lb, ub, lb_raw, ub_raw, clamped, psi)), (n, m, h)
+                assert repr(sb.pi_lower_bound(n, m, h)) == repr(lb)
+                assert repr(sb.pi_upper_bound(n, m, h)) == repr(ub)
+                assert repr(sb.merit_bounds_k1(n, m, h)) == repr(psi)
+
+    def test_batched_matches_reference(self, rng):
+        for n, m, hs in self._cases(rng, 200, 50):
+            hs = np.clip(hs, 0.0, math.log2(n))
+            got = [a.tolist() for a in _analytic_bounds(n, m, hs)]
+            want = [reference_analytic(n, m, h)[:4] for h in hs.tolist()]
+            assert repr(list(zip(*got))) == repr(want), (n, m)
+
+    def test_memory_does_not_grow_with_entropies(self):
+        n, m = 50_010, 10  # a (1000 x 50,000) matrix would take 400 MB
+        hs = np.linspace(0.0, math.log2(n), 1000)
+        tracemalloc.start()
+        try:
+            _analytic_bounds(n, m, hs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

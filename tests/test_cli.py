@@ -111,6 +111,26 @@ class TestBoundsCommand:
         assert code == 1 and "--entropy" in err
 
 
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--dist", "{tmp}/missing.txt", "--m", "2"),
+            ("bounds", "--dist", "{tmp}/binary.txt", "--m", "2"),
+            ("scenario", "--config", "{tmp}/missing.cfg"),
+            ("sweep", "--config", "{tmp}/missing.cfg"),
+            ("transform", "--dist", "{tmp}", "--m", "2", "--k", "2", "--mode", "unique"),
+            ("bounds", "--n", "20", "--m", "6", "--entropy", "4", "--out", "{tmp}/no/x.json"),
+            ("sweep", "--paper-figs", "--scenarios", "1", "--summary-out", "{tmp}/no/s.json"),
+        ],
+    )
+    def test_missing_or_unreadable_file_is_one_error_line(self, capsys, tmp_path, argv):
+        (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00\x81 1\n")
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 class TestExtremaCommand:
     def test_max_json(self, capsys):
         code, out, _ = run_cli(

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import selbounds as sb
-from helpers import mp_entropy
+import selbounds.oracle as oracle_mod
+from helpers import mp_entropy, reference_sweep_shape
 
 
 class TestSampling:
@@ -114,6 +116,29 @@ class TestSweep:
             (bound, n, (6,)) for bound in ("lower", "upper") for n in (15, 8)
         )
 
+    @pytest.mark.parametrize("sampler", [sb.SamplerSpec(), sb.SamplerSpec("spiky", 0.05)])
+    @pytest.mark.parametrize("fail_calls", [(), (1, 17, 30)])
+    def test_records_match_per_record_reference(self, monkeypatch, sampler, fail_calls):
+        real = oracle_mod.sample_distribution
+        calls = itertools.count()
+
+        def flaky(n, sampler, rng):
+            if next(calls) in fail_calls:
+                raise RuntimeError("injected")
+            return real(n, sampler, rng)
+
+        monkeypatch.setattr(oracle_mod, "sample_distribution", flaky)
+        config = sb.SweepConfig(((1, 1), (6, 1), (7, 7), (12, 3), (25, 20), (40, 2)), 8, 4, sampler)
+        records, _ = sb.run_sweep(config)
+        calls = itertools.count()
+        expected = [
+            rec for i in range(len(config.shapes))
+            for rec in reference_sweep_shape(config, i, sb.DEFAULT_TOLERANCE)
+        ]
+        # repr compares floats bit for bit, NaN equal to NaN, -0.0 apart from 0.0
+        assert repr(records) == repr(expected)
+        assert sum(math.isnan(r.entropy_bits) for r in records) == len(fail_calls)
+
     def test_csv_shape_and_determinism(self):
         config = sb.SweepConfig(((6, 2),), 4, 21)
         records, _ = sb.run_sweep(config)
@@ -164,8 +189,6 @@ class TestSweep:
 
     def test_row_failures_never_abort(self, monkeypatch):
         # a scenario that blows up becomes a nan row, not an aborted sweep
-        import selbounds.oracle as oracle_mod
-
         real = oracle_mod.sample_distribution
         calls = {"n": 0}
 
