@@ -16,7 +16,9 @@ report and the sweep all call it.
 *Tight numeric bounds.*  The exact extremal curves are inverted by one
 batched bisection, :func:`_bisect`: the lower bound bisects the strictly
 increasing maximum entropy ``H_max(pi)``; the upper bound bisects the
-exact discrete minimum ``H_min(pi)``, which is non-decreasing.  Take any
+exact discrete minimum ``H_min(pi)``, which is non-decreasing and which
+:func:`~selbounds.extrema.min_entropy_values` takes from a fixed number
+of junctions per ``pi``, whatever ``n``.  Take any
 feasible ``p`` with tail mass ``pi' > pi`` and move ``pi' - pi`` from its
 smallest tail entries onto ``p[0]``: the result is still sorted, has tail
 mass ``pi`` and majorizes ``p``, so its entropy is no higher.  Hence

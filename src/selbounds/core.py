@@ -66,7 +66,9 @@ def entropy_bits(probs: np.ndarray) -> float:
     p = p[p > ZERO_FLOOR]
     if p.size == 0:
         return 0.0
-    return float(max(-(p * np.log2(p)).sum(), 0.0))
+    # 0.0 first: max keeps the first of equal values, so a one-point
+    # distribution's -0.0 sum comes back as +0.0
+    return float(max(0.0, -(p * np.log2(p)).sum()))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's code paths: entropies
 are evaluated in 50-digit arithmetic, chains are plain Python loops, and
 the feasible-polytope sampler is a separate numpy implementation.  The
 analytic bounds and the sweep are kept as the earlier scalar, per-record
-code, so the batched library paths can be checked bit for bit against it.
+code, and ``H_min`` as the earlier scan over every junction, so the
+batched library paths can be checked bit for bit against them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from mpmath import mp, mpf, log
 
 import selbounds.oracle as oracle
+from selbounds.extrema import REMAINDER_SNAP, _candidate_entropies, _fe
 
 mp.dps = 50
 
@@ -59,13 +61,14 @@ def mp_min_entropy_m1(n, pi) -> float:
     return float(total)
 
 
-def mp_min_entropy(n, m, pi) -> float:
+def mp_min_entropy(n, m, pi, slots=None) -> float:
     """50-digit minimum entropy for m >= 2 over the junctions and right endpoint.
 
     Junction ``s`` fills ``s`` tail slots with ``p = pi/s`` (when ``p`` fits
     under the right endpoint ``(1-pi)/m``); the right endpoint holds as many
     full slots as fit plus the exact remainder.  The head is ``m - 1``
-    copies of ``p`` plus the balancing entry.
+    copies of ``p`` plus the balancing entry.  ``slots`` limits the
+    junctions to those counts (default every ``s = 1..n-m``).
     """
     pi = mpf(repr(float(pi)))
     hi = (1 - pi) / m
@@ -77,11 +80,45 @@ def mp_min_entropy(n, m, pi) -> float:
     copies = min(int(mp.floor(pi / hi)), n - m)
     rest = pi - copies * hi
     best = bits(hi, -copies * hi * mp_log2(hi) - (rest * mp_log2(rest) if rest > 0 else 0))
-    for s in range(1, n - m + 1):
+    for s in range(1, n - m + 1) if slots is None else slots:
         p = pi / s
         if p <= hi:
             best = min(best, bits(p, -pi * mp_log2(p)))
     return float(best)
+
+
+def scan_min_entropy_values(n, m, pis) -> np.ndarray:
+    """``H_min`` by scanning every junction ``s = 1..n-m`` for each pi.
+
+    The earlier library kernel, kept as the reference for the few-junction
+    one: the right endpoint through the library's candidate kernel, then
+    each junction ``pi/s`` valid under ``pi/s <= (1-pi)/m + REMAINDER_SNAP``
+    with the same float expression, in chunks of at most ``2**22`` cells.
+    """
+    pis = np.clip(np.asarray(pis, dtype=float), 0.0, (n - m) / n)
+    out = np.zeros(pis.shape)
+    if m == n:
+        return out
+    active = pis >= REMAINDER_SNAP
+    if not active.any():
+        return out
+    pa = pis[active]
+    best = _candidate_entropies(m, pa, (1.0 - pa) / m)
+    js = np.arange(1, n - m + 1)
+    slots = (n - m - js + 1).astype(float)
+    block = max(1, (1 << 22) // len(js))
+    for start in range(0, pa.size, block):
+        chunk = pa[start : start + block, None]
+        ph_j = chunk / slots[None, :]
+        head_rest = (1.0 - chunk) - (m - 1) * ph_j
+        vals = (n - js)[None, :] * _fe(ph_j) + _fe(head_rest)
+        hi = (1.0 - chunk) / m
+        vals = np.where(ph_j <= hi + REMAINDER_SNAP, vals, np.inf)
+        best[start : start + block] = np.minimum(
+            best[start : start + block], vals.min(axis=1)
+        )
+    out[active] = np.maximum(best, 0.0)
+    return out
 
 
 def chain_probability(probs, order) -> float:

@@ -102,6 +102,16 @@ class TestBoundsCommand:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_one_point_dist_prints_positive_zero_entropy(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1\n0\n0\n")
+        code, out, err = run_cli(capsys, "bounds", "--dist", str(path), "--m", "1")
+        assert code == 0, err
+        assert '"entropy_bits": 0.0,' in out
+        assert "-0.0" not in out
+        doc = json.loads(out)
+        assert doc["pi"]["ub_tight"] == 0.0
+
     def test_entropy_conflicts_with_dist(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("1\n1\n")

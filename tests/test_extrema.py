@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from helpers import (
     mp_max_entropy,
     mp_min_entropy,
     mp_min_entropy_m1,
+    scan_min_entropy_values,
 )
+from selbounds.extrema import REMAINDER_SNAP, _fe
 
 
 def random_shape(rng, n_max=40):
@@ -160,6 +163,73 @@ class TestCandidateSet:
             shape = sb.SystemShape(n, m, float(top * 10 ** rng.uniform(-9, 0)))
             exact = sb.min_entropy(shape).min_entropy_bits
             assert exact == sb.min_entropy_value(n, m, shape.pi), (n, m, shape.pi)
+
+
+class TestFewJunctionKernel:
+    """``min_entropy_values`` against the scan over every junction."""
+
+    #: n' and m' of the k = 3 unique composite system of 200 objects, m = 20
+    COMPOSITE = (1_313_400, 1140)
+
+    @staticmethod
+    def _pis(rng, n, m):
+        top = (n - m) / n
+        return np.concatenate([
+            rng.uniform(0.0, top, 8),
+            top * 10.0 ** rng.uniform(-12, 0, 8),
+            [0.0, 1e-12, 2e-12, 1e-11, top],
+        ])
+
+    @staticmethod
+    def _near_min_slots(n, m, pi):
+        """Junction counts whose float entropy is within 1e-14 of the lowest."""
+        s = np.arange(1, n - m + 1, dtype=float)
+        ph = pi / s
+        vals = (m - 1 + s) * _fe(ph) + _fe((1.0 - pi) - (m - 1) * ph)
+        vals = np.where(ph <= (1.0 - pi) / m + REMAINDER_SNAP, vals, np.inf)
+        return [int(v) for v in s[vals <= vals.min() + 1e-14]]
+
+    def _cases(self, rng):
+        shapes = []
+        for _ in range(300):
+            n = int(rng.integers(2, 3000))
+            shapes.append((n, int(rng.integers(1, n))))
+        for n in (2, 3, 10, 101, 2999):
+            shapes += [(n, 1), (n, n - 1)] + ([(n, 2)] if n > 2 else [])
+        cases = [(n, m, self._pis(rng, n, m)) for n, m in shapes]
+        # only the n-m junction is valid for pi above (n-m-1)/(n-1)
+        n, m = 50, 10
+        single = np.array([(n - m) / n, 0.5 * ((n - m - 1) / (n - 1) + (n - m) / n)])
+        assert (single / (n - m - 1) > (1.0 - single) / m + REMAINDER_SNAP).all()
+        cases.append((n, m, single))
+        n, m = self.COMPOSITE
+        cases.append((n, m, self._pis(rng, n, m)))
+        return cases
+
+    def test_matches_scan(self, rng):
+        points = same = 0
+        for n, m, pis in self._cases(rng):
+            got = sb.min_entropy_values(n, m, pis)
+            want = scan_min_entropy_values(n, m, pis)
+            points += pis.size
+            same += int((got == want).sum())
+            assert np.abs(got - want).max() <= 2.5e-16, (n, m)
+            for pi, g, w in zip(pis[got != want], got[got != want], want[got != want]):
+                slots = self._near_min_slots(n, m, pi) if n - m > 10_000 else None
+                exact = mp_min_entropy(n, m, pi, slots)
+                assert abs(g - exact) <= 5e-16 and abs(w - exact) <= 5e-16, (n, m, pi)
+        assert same >= 0.999 * points, (same, points)
+
+    def test_composite_size_memory_is_bounded(self):
+        n, m = self.COMPOSITE
+        pis = np.linspace(0.0, (n - m) / n, 100)
+        tracemalloc.start()
+        try:
+            sb.min_entropy_values(n, m, pis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 class TestAssembleMinCandidate:
