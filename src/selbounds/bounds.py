@@ -23,8 +23,7 @@ feasible ``p`` with tail mass ``pi' > pi`` and move ``pi' - pi`` from its
 smallest tail entries onto ``p[0]``: the result is still sorted, has tail
 mass ``pi`` and majorizes ``p``, so its entropy is no higher.  Hence
 ``H_min(pi) <= H_min(pi')``, and ``{pi : H_min(pi) <= h}`` is an interval
-starting at 0 whose right end the bisection finds.  The ``grid`` and
-``tight_grid`` parameters are accepted for compatibility and ignored.
+starting at 0 whose right end the bisection finds.
 
 Merit-probability bounds are exact complements of the opposite error
 bounds, clamped into ``[m/n, 1]``.
@@ -135,8 +134,10 @@ def _analytic_bounds(n: int, m: int, hs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _analytic_scalar(n: int, m: int, h: float, tol: float) -> tuple[float, ...]:
-    """Validated entropy and its analytic ``(lb, ub, lb_raw, ub_raw)`` as floats."""
-    validate_counts(n, m)
+    """Checked entropy and its analytic ``(lb, ub, lb_raw, ub_raw)`` as floats.
+
+    ``n`` and ``m`` must already be validated.
+    """
     h = _check_entropy(n, h, tol)
     return h, *(float(v[0]) for v in _analytic_bounds(n, m, np.array([h])))
 
@@ -145,6 +146,7 @@ def pi_lower_bound(
     n: int, m: int, h: float, tol: float = DEFAULT_TOLERANCE
 ) -> float:
     """Analytic lower bound on the tail mass at entropy h (clamped)."""
+    validate_counts(n, m)
     return _analytic_scalar(n, m, h, tol)[1]
 
 
@@ -152,6 +154,7 @@ def pi_upper_bound(
     n: int, m: int, h: float, tol: float = DEFAULT_TOLERANCE
 ) -> float:
     """Analytic upper bound on the tail mass at entropy h (clamped)."""
+    validate_counts(n, m)
     return _analytic_scalar(n, m, h, tol)[2]
 
 
@@ -196,7 +199,7 @@ class TightInverter:
     (returning an array); a batched answer equals the scalar one bit for bit.
     """
 
-    def __init__(self, n: int, m: int, grid: int = 4096):
+    def __init__(self, n: int, m: int):
         validate_counts(n, m)
         self.n = int(n)
         self.m = int(m)
@@ -230,18 +233,11 @@ class TightInverter:
 
 
 def pi_bounds_tight(
-    n: int,
-    m: int,
-    h: float,
-    grid: int = 4096,
-    tol: float = DEFAULT_TOLERANCE,
-    inverter: TightInverter | None = None,
+    n: int, m: int, h: float, tol: float = DEFAULT_TOLERANCE
 ) -> tuple[float, float]:
     """Tight numeric (lower, upper) bounds on the tail mass at entropy h."""
-    validate_counts(n, m)
+    inverter = TightInverter(n, m)
     h = _check_entropy(n, h, tol)
-    if inverter is None:
-        inverter = TightInverter(n, m)
     return inverter.lower(h), inverter.upper(h)
 
 
@@ -259,6 +255,7 @@ def merit_bounds_k1(
     The upper bound equals the closed form
     ``(log2(n-m) - h + 1) / log2(n/m - 1)`` whenever ``m < n/2``.
     """
+    validate_counts(n, m)
     _, lb, ub, _, _ = _analytic_scalar(n, m, h, tol)
     return _merit(n, m, lb, ub)
 
@@ -327,13 +324,12 @@ def build_report(
     k: int = 1,
     mode: str = "direct",
     include_flawed: bool = False,
-    tight_grid: int = 4096,
     tol: float = DEFAULT_TOLERANCE,
-    inverter: TightInverter | None = None,
     pi_observed: float | None = None,
     selection_mismatch: bool | None = None,
 ) -> BoundReport:
     """Assemble a full bound report for one (n, m, entropy) query."""
+    inverter = TightInverter(n, m)
     h, lb, ub, lb_raw, ub_raw = _analytic_scalar(n, m, entropy_bits, tol)
     flags = (
         ("pi_lb_analytic_at_floor", lb_raw < lb),
@@ -341,7 +337,6 @@ def build_report(
         ("pi_ub_analytic_at_ceiling", ub_raw > ub),
         ("pi_ub_analytic_at_floor", ub_raw < ub),
     )
-    lb_tight, ub_tight = pi_bounds_tight(n, m, h, tol=tol, inverter=inverter)
     psi_lb, psi_ub = _merit(n, m, lb, ub)
     return BoundReport(
         n=int(n),
@@ -351,8 +346,8 @@ def build_report(
         entropy_bits=h,
         pi_lb_analytic=lb,
         pi_ub_analytic=ub,
-        pi_lb_tight=lb_tight,
-        pi_ub_tight=ub_tight,
+        pi_lb_tight=inverter.lower(h),
+        pi_ub_tight=inverter.upper(h),
         pi_lb_raw=lb_raw,
         pi_ub_raw=ub_raw,
         psi_lb=psi_lb,
@@ -370,9 +365,7 @@ def bounds_for_k(
     k: int,
     mode: str,
     include_flawed: bool = False,
-    tight_grid: int = 4096,
     tol: float = DEFAULT_TOLERANCE,
-    max_composites: int | None = None,
 ) -> BoundReport:
     """Bounds for a requirement of k performing objects among the m selected.
 
@@ -383,7 +376,7 @@ def bounds_for_k(
     if mode not in ("unique", "repeated"):
         raise BadKError(f"mode must be 'unique' or 'repeated', got {mode!r}")
     transform = transform_unique if mode == "unique" else transform_repeated
-    ts = transform(dist, m, k, max_composites=max_composites)
+    ts = transform(dist, m, k)
     return transformed_report(ts, include_flawed, tol)
 
 

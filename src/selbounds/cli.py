@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     common.add_argument("--seed", type=int, default=None, help="override the random seed")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored")
+                        help="ignored: everything runs in one thread (kept because "
+                             "the perfbench sweep workload passes --threads 1)")
     common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="numeric tolerance for feasibility and bound checks")
 
@@ -166,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="composite mode for k > 1")
     p.add_argument("--compare-flawed", action="store_true",
                    help="also report the uncorrected lower-bound formula")
-    p.add_argument("--tight-grid", type=int, default=4096,
-                   help="accepted for compatibility and ignored")
 
     p = sub.add_parser(
         "extrema", parents=[common],
@@ -236,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--config", metavar="FILE", required=True)
-    p.add_argument("--tight-grid", type=int, default=4096,
-                   help="accepted for compatibility and ignored")
 
     p = sub.add_parser(
         "oracle-check", parents=[common],

@@ -44,9 +44,22 @@ ZERO_FLOOR = 1e-15
 _DEFAULT_MAX_STATES = 10_000_000
 
 
-def max_states() -> int:
-    """Configured cap on the number of states (``SELBOUNDS_MAX_STATES``)."""
-    return int(os.environ.get("SELBOUNDS_MAX_STATES", _DEFAULT_MAX_STATES))
+def env_cap(name: str, default: int) -> int:
+    """Size cap read from environment variable ``name``, or ``default`` when unset.
+
+    Raises:
+        BadConfigError: the variable is set but is not a positive integer.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadConfigError(f"{name} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def validate_counts(n: int, m: int) -> None:
@@ -77,8 +90,7 @@ class SortedDistribution:
 
     ``original_index[i]`` is the position the i-th sorted entry occupied in
     the caller's input, so the original ordering can always be recovered.
-    Instances are immutable (arrays are made read-only) and safe to share
-    across workers.
+    Instances are immutable (arrays are made read-only).
     """
 
     probs: np.ndarray
@@ -88,10 +100,9 @@ class SortedDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise InvalidEntryError("probs must be a non-empty 1-D vector")
-        if probs.size > max_states():
-            raise TooLargeError(
-                f"{probs.size} states exceeds the configured cap {max_states()}"
-            )
+        cap = env_cap("SELBOUNDS_MAX_STATES", _DEFAULT_MAX_STATES)
+        if probs.size > cap:
+            raise TooLargeError(f"{probs.size} states exceeds the configured cap {cap}")
         if not np.isfinite(probs).all():
             raise InvalidEntryError("probs contains NaN or infinite entries")
         if (probs < -1e-12).any():
@@ -249,7 +260,10 @@ def parse_weights(text: str) -> np.ndarray:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
         ):
             raise InvalidEntryError("JSON weights must be an array of numbers")
-        return np.asarray(values, dtype=float)
+        try:
+            return np.asarray(values, dtype=float)
+        except OverflowError as exc:
+            raise InvalidEntryError(f"JSON weight too large for a float: {exc}") from exc
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         payload = line.split("#", 1)[0].strip()

@@ -163,14 +163,13 @@ def _index_bound(n: int, m: int, pi: float) -> int:
     return max(0, min(y, n - m))
 
 
-def candidate_set(shape: SystemShape, tol: float = DEFAULT_TOLERANCE) -> np.ndarray:
+def candidate_set(shape: SystemShape) -> np.ndarray:
     """Discrete p_hat values among which the entropy minimum must lie.
 
     Emits ``pi/(n-m-j+1)`` for ``j = 1..y`` plus the right endpoint
     ``(1-pi)/m``, clipped into ``[pi/(n-m), (1-pi)/m]`` and ascending.  Only
     equal values are merged: at small ``pi`` distinct junctions lie closer
-    than any fixed tolerance.  ``tol`` is accepted for compatibility and
-    ignored.
+    than any fixed tolerance.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     if m < 2:
@@ -302,14 +301,14 @@ class MinEntropyResult:
         return self.candidates[self.argmin_index].distribution
 
 
-def min_entropy(shape: SystemShape, tol: float = DEFAULT_TOLERANCE) -> MinEntropyResult:
+def min_entropy(shape: SystemShape) -> MinEntropyResult:
     """Exact minimum entropy over the feasible polytope.
 
     ``pi = 0`` short-circuits to a point mass (entropy 0); ``m = 1`` has
     the single candidate ``p_hat = 1 - pi``, the staircase.  Otherwise the
     entropy of every :func:`candidate_set` value comes from one closed-form
     kernel call and the lowest-index argmin is returned.  No distribution
-    is built until a caller reads one.  ``tol`` is ignored.
+    is built until a caller reads one.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     y = _index_bound(n, m, pi)
@@ -436,9 +435,7 @@ class CurveSample:
     is_junction: bool
 
 
-def piecewise_curve(
-    shape: SystemShape, samples: int, tol: float = DEFAULT_TOLERANCE
-) -> list[CurveSample]:
+def piecewise_curve(shape: SystemShape, samples: int) -> list[CurveSample]:
     """Sample the piecewise-concave curve H(p_hat) over its full interval.
 
     Emits ``samples`` uniform points merged with the candidate junctions
@@ -446,7 +443,7 @@ def piecewise_curve(
     closed-form kernel and tail split as :func:`min_entropy`, so branch
     bookkeeping can never disagree with the construction.
     ``segment_index`` counts how many full tail slots have been given up
-    relative to the uniform-tail left endpoint.  ``tol`` is ignored.
+    relative to the uniform-tail left endpoint.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     if m < 2:

@@ -215,12 +215,9 @@ def _sweep_shape(
 
 
 def run_sweep(
-    config: SweepConfig, threads: int = 1, tol: float = DEFAULT_TOLERANCE
+    config: SweepConfig, tol: float = DEFAULT_TOLERANCE
 ) -> tuple[list[SweepRecord], dict]:
-    """Execute the sweep; returns (records sorted by shape/scenario, summary).
-
-    ``threads`` is accepted for compatibility and ignored.
-    """
+    """Execute the sweep; returns (records sorted by shape/scenario, summary)."""
     records = [
         rec for i in range(len(config.shapes)) for rec in _sweep_shape(config, i, tol)
     ]

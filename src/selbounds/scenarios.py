@@ -283,7 +283,7 @@ def _within(report: BoundReport, tol: float) -> bool:
 
 
 def cache_scenario(
-    cfg: ScenarioConfig, tol: float = DEFAULT_TOLERANCE, tight_grid: int = 4096
+    cfg: ScenarioConfig, tol: float = DEFAULT_TOLERANCE
 ) -> ScenarioReport:
     """Prefetch-cache miss analysis (single page, k pages, or k users).
 
@@ -330,7 +330,7 @@ def cache_scenario(
 
 
 def scheduling_scenario(
-    cfg: ScenarioConfig, tol: float = DEFAULT_TOLERANCE, tight_grid: int = 4096
+    cfg: ScenarioConfig, tol: float = DEFAULT_TOLERANCE
 ) -> ScenarioReport:
     """Channel-assignment merit analysis: all m channels must land well.
 
@@ -361,9 +361,9 @@ def scheduling_scenario(
 
 
 def run_scenario(
-    cfg: ScenarioConfig, tol: float = DEFAULT_TOLERANCE, tight_grid: int = 4096
+    cfg: ScenarioConfig, tol: float = DEFAULT_TOLERANCE
 ) -> ScenarioReport:
-    """Dispatch a scenario config to its handler (``tight_grid`` is ignored)."""
+    """Dispatch a scenario config to its handler."""
     if cfg.kind == "scheduling":
         return scheduling_scenario(cfg, tol)
     return cache_scenario(cfg, tol)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .core import (
     DEFAULT_TOLERANCE,
     SortedDistribution,
     built_internally,
+    env_cap,
     validate_counts,
 )
 from .errors import (
@@ -46,19 +46,7 @@ _DEFAULT_MAX_K_UNIQUE = 8
 _DEFAULT_MAX_K_REPEATED = 12
 
 
-def composite_cap() -> int:
-    return int(os.environ.get("SELBOUNDS_MAX_COMPOSITES", _DEFAULT_MAX_COMPOSITES))
-
-
-def unique_k_cap() -> int:
-    return int(os.environ.get("SELBOUNDS_MAX_K_UNIQUE", _DEFAULT_MAX_K_UNIQUE))
-
-
-def repeated_k_cap() -> int:
-    return int(os.environ.get("SELBOUNDS_MAX_K_REPEATED", _DEFAULT_MAX_K_REPEATED))
-
-
-def sequential_probability(dist: SortedDistribution, ordered_ids, tol: float = DEFAULT_TOLERANCE) -> float:
+def sequential_probability(dist: SortedDistribution, ordered_ids) -> float:
     """Probability of drawing the given objects in order, without replacement.
 
     ``ordered_ids`` index the sorted distribution.  Each step divides by
@@ -132,7 +120,8 @@ def _validate_k(n: int, m: int, k: int, k_cap: int) -> None:
         raise TooLargeError(f"k={k} exceeds the cap {k_cap} for this mode")
 
 
-def _check_size(n_prime: int, cap: int) -> None:
+def _check_size(n_prime: int) -> None:
+    cap = env_cap("SELBOUNDS_MAX_COMPOSITES", _DEFAULT_MAX_COMPOSITES)
     if n_prime > cap:
         raise TooLargeError(
             f"transformed size {n_prime} exceeds the composite cap {cap}"
@@ -270,7 +259,6 @@ def transform_unique(
     m: int,
     k: int,
     tol: float = DEFAULT_TOLERANCE,
-    max_composites: int | None = None,
 ) -> TransformedSystem:
     """Rewrite the system over k-combinations of distinct objects.
 
@@ -279,9 +267,9 @@ def transform_unique(
     top-m objects, so there are exactly C(m, k) of them.
     """
     n = dist.n
-    _validate_k(n, m, k, unique_k_cap())
+    _validate_k(n, m, k, env_cap("SELBOUNDS_MAX_K_UNIQUE", _DEFAULT_MAX_K_UNIQUE))
     n_prime = math.comb(n, k)
-    _check_size(n_prime, max_composites if max_composites is not None else composite_cap())
+    _check_size(n_prime)
     if int(np.count_nonzero(dist.probs > 0.0)) < k:
         raise ZeroDenominatorError(
             f"need at least k={k} objects with positive probability"
@@ -296,7 +284,6 @@ def transform_repeated(
     m: int,
     k: int,
     tol: float = DEFAULT_TOLERANCE,
-    max_composites: int | None = None,
 ) -> TransformedSystem:
     """Rewrite the system over k-multisets (independent repeated picks).
 
@@ -305,9 +292,9 @@ def transform_repeated(
     composites.
     """
     n = dist.n
-    _validate_k(n, m, k, repeated_k_cap())
+    _validate_k(n, m, k, env_cap("SELBOUNDS_MAX_K_REPEATED", _DEFAULT_MAX_K_REPEATED))
     n_prime = math.comb(n + k - 1, k)
-    _check_size(n_prime, max_composites if max_composites is not None else composite_cap())
+    _check_size(n_prime)
     members = _enumerate(
         itertools.combinations_with_replacement(range(n), k), n_prime, k
     )

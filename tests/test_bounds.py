@@ -236,7 +236,7 @@ class TestSandwichAndNesting:
             n = int(rng.integers(2, 50))
             m = int(rng.integers(1, n + 1))
             pi = float(rng.uniform(0, (n - m) / n)) if m < n else 0.0
-            inverter = sb.TightInverter(n, m, grid=1024)
+            inverter = sb.TightInverter(n, m)
             rows = feasible_batch(n, m, pi, 25, rng)
             hs = np.array([float(batch_entropy(row[None, :])[0]) for row in rows])
             hs = np.clip(hs, 0.0, math.log2(n))
@@ -266,7 +266,7 @@ class TestBoundReport:
             n = int(rng.integers(2, 40))
             m = int(rng.integers(1, n + 1))
             h = float(rng.uniform(0, math.log2(n)))
-            r = sb.build_report(n, m, h, tight_grid=512)
+            r = sb.build_report(n, m, h)
             assert r.pi_lb_analytic - 1e-9 <= r.pi_lb_tight
             assert r.pi_lb_tight <= r.pi_ub_tight + 1e-9
             assert r.pi_ub_tight <= r.pi_ub_analytic + 1e-9
@@ -277,13 +277,13 @@ class TestBoundReport:
             n = int(rng.integers(2, 40))
             m = int(rng.integers(1, n + 1))
             h = float(rng.uniform(0, math.log2(n)))
-            r = sb.build_report(n, m, h, tight_grid=64)
+            r = sb.build_report(n, m, h)
             assert r.psi_lb == pytest.approx(1.0 - r.pi_ub_analytic, abs=1e-12)
             assert r.psi_ub == pytest.approx(1.0 - r.pi_lb_analytic, abs=1e-12)
             assert m / n - 1e-12 <= r.psi_lb <= r.psi_ub <= 1.0 + 1e-12
 
     def test_clamp_flags_recorded(self):
-        r = sb.build_report(12, 4, 0.0, tight_grid=64)
+        r = sb.build_report(12, 4, 0.0)
         assert "pi_ub_analytic_at_ceiling" in r.clamped
         assert r.pi_ub_raw == pytest.approx(1.0)
         assert r.pi_ub_analytic == pytest.approx(8 / 12)
@@ -293,9 +293,9 @@ class TestBoundsForK:
     def test_k1_identity_both_modes(self):
         d = sb.make_distribution([0.4, 0.3, 0.2, 0.1])
         h = sb.entropy(d)
-        direct = sb.build_report(4, 2, h, tight_grid=256)
+        direct = sb.build_report(4, 2, h)
         for mode in ("unique", "repeated"):
-            r = sb.bounds_for_k(d, 2, 1, mode, tight_grid=256)
+            r = sb.bounds_for_k(d, 2, 1, mode)
             assert r.n == 4 and r.m == 2
             assert r.entropy_bits == pytest.approx(h, abs=1e-12)
             assert r.pi_lb_analytic == pytest.approx(direct.pi_lb_analytic, abs=1e-12)
@@ -303,14 +303,14 @@ class TestBoundsForK:
 
     def test_uniform_unique(self):
         d = sb.make_distribution(np.ones(5))
-        r = sb.bounds_for_k(d, 3, 2, "unique", tight_grid=256)
+        r = sb.bounds_for_k(d, 3, 2, "unique")
         assert (r.n, r.m) == (10, 3)
         assert r.entropy_bits == pytest.approx(math.log2(10), abs=1e-12)
         assert r.pi_observed == pytest.approx(0.7, abs=1e-12)
 
     def test_uniform_repeated(self):
         d = sb.make_distribution(np.ones(3))
-        r = sb.bounds_for_k(d, 2, 2, "repeated", tight_grid=256)
+        r = sb.bounds_for_k(d, 2, 2, "repeated")
         assert (r.n, r.m) == (6, 3)
         expected_h = mp_entropy([2 / 9, 2 / 9, 2 / 9, 1 / 9, 1 / 9, 1 / 9])
         assert r.entropy_bits == pytest.approx(expected_h, abs=1e-12)

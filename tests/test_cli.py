@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 import selbounds as sb
 from helpers import mp_min_entropy
-from selbounds.cli import main
+from selbounds.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -30,7 +31,7 @@ class TestBoundsCommand:
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--n", "9", "--m", "3", "--entropy", "2.0",
-            "--format", "csv", "--tight-grid", "128",
+            "--format", "csv",
         )
         assert code == 0
         header, row = out.strip().split("\n")
@@ -42,7 +43,7 @@ class TestBoundsCommand:
         path.write_text("0.5\n0.3\n0.2\n")
         code, out, _ = run_cli(
             capsys, "bounds", "--dist", str(path), "--m", "2", "--k", "2",
-            "--mode", "unique", "--tight-grid", "128",
+            "--mode", "unique",
         )
         assert code == 0
         doc = json.loads(out)
@@ -80,7 +81,7 @@ class TestBoundsCommand:
     def test_flawed_comparison_field(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--n", "30", "--m", "20", "--entropy", "4.5",
-            "--compare-flawed", "--tight-grid", "128",
+            "--compare-flawed",
         )
         assert code == 0
         doc = json.loads(out)
@@ -112,6 +113,13 @@ class TestBoundsCommand:
         doc = json.loads(out)
         assert doc["pi"]["ub_tight"] == 0.0
 
+    def test_json_integer_too_large_for_float_is_bad_input(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(f"[1, 2, {10**400}]")
+        code, out, err = run_cli(capsys, "bounds", "--dist", str(path), "--m", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: JSON weight") and len(err.splitlines()) == 1
+
     def test_entropy_conflicts_with_dist(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("1\n1\n")
@@ -139,6 +147,68 @@ class TestFileErrors:
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+class TestBadSettings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--paper-figs", "--seed", "-1"),
+            ("scenario", "--config", "{tmp}/scenario.cfg"),
+            ("oracle-check", "--min-entropy", "--n", "10", "--m", "3", "--pi", "0.2",
+             "--seed", "-1"),
+        ],
+    )
+    def test_negative_seed_is_one_error_line(self, capsys, tmp_path, argv):
+        (tmp_path / "scenario.cfg").write_text(
+            "kind = cache_single\nn = 10\nm = 3\nzipf_s = 1.0\ntrials = 10\nseed = -3\n"
+        )
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: seed ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "name, value, argv",
+        [
+            ("SELBOUNDS_MAX_COMPOSITES", "abc",
+             ("transform", "--dist", "{tmp}/w.txt", "--m", "2", "--k", "2",
+              "--mode", "unique")),
+            ("SELBOUNDS_MAX_STATES", "1.5e7", ("bounds", "--dist", "{tmp}/w.txt", "--m", "1")),
+            ("SELBOUNDS_MAX_K_UNIQUE", "0",
+             ("transform", "--dist", "{tmp}/w.txt", "--m", "2", "--k", "2",
+              "--mode", "unique")),
+            ("SELBOUNDS_MAX_K_REPEATED", "-3",
+             ("transform", "--dist", "{tmp}/w.txt", "--m", "2", "--k", "2",
+              "--mode", "repeated")),
+        ],
+    )
+    def test_malformed_cap_variable_is_one_error_line(
+        self, capsys, tmp_path, monkeypatch, name, value, argv
+    ):
+        (tmp_path / "w.txt").write_text("0.5\n0.3\n0.2\n")
+        monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {name} ") and len(err.splitlines()) == 1
+
+
+class TestOptions:
+    def test_threads_is_the_only_ignored_option(self):
+        parser = build_parser()
+        parsers = [parser] + [
+            sub
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for sub in action.choices.values()
+        ]
+        ignored = {
+            option
+            for p in parsers
+            for action in p._actions
+            if "ignored" in (action.help or "").lower()
+            for option in action.option_strings
+        }
+        assert ignored == {"--threads"}
 
 
 class TestExtremaCommand:
@@ -169,7 +239,7 @@ class TestExtremaCommand:
         path = tmp_path / "dist.txt"
         path.write_text(out)
         code, out2, _ = run_cli(
-            capsys, "bounds", "--dist", str(path), "--m", "4", "--tight-grid", "256"
+            capsys, "bounds", "--dist", str(path), "--m", "4"
         )
         assert code == 0
         doc = json.loads(out2)
@@ -246,6 +316,13 @@ class TestSweepCommand:
         doc = json.loads(out)
         assert code == 0
         assert len(doc["records"]) == 2 and "summary" in doc
+
+    def test_threads_flag_changes_nothing(self, capsys):
+        # the benchmark's sweep argv, at 5 scenarios per shape
+        argv = ("sweep", "--paper-figs", "--seed", "3", "--format", "csv", "--scenarios", "5")
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        assert run_cli(capsys, *argv, "--threads", "1") == plain
 
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep")
@@ -397,12 +474,11 @@ class TestDeterminism:
         dest = tmp_path / "report.json"
         code, _, _ = run_cli(
             capsys, "bounds", "--n", "8", "--m", "2", "--entropy", "2.0",
-            "--tight-grid", "128", "--out", str(dest),
+            "--out", str(dest),
         )
         assert code == 0
         code, out, _ = run_cli(
             capsys, "bounds", "--n", "8", "--m", "2", "--entropy", "2.0",
-            "--tight-grid", "128",
         )
         assert dest.read_text() == out
 

@@ -78,12 +78,6 @@ class TestSweep:
             assert r.pi_lb_analytic - 1e-9 <= r.pi_lb_tight <= r.pi_observed + 1e-9
             assert r.pi_observed - 1e-9 <= r.pi_ub_tight <= r.pi_ub_analytic + 1e-9
 
-    def test_thread_count_does_not_change_output(self):
-        config = sb.SweepConfig(((15, 4), (8, 6)), 10, 3)
-        solo, _ = sb.run_sweep(config, threads=1)
-        multi, _ = sb.run_sweep(config, threads=4)
-        assert sb.records_to_csv(solo) == sb.records_to_csv(multi)
-
     @pytest.mark.parametrize("bound", ["lower", "upper"])
     def test_failed_inversion_fails_only_its_shape(self, monkeypatch, bound):
         invert = getattr(sb.TightInverter, bound)

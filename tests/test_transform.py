@@ -239,12 +239,13 @@ class TestTransformInvariants:
             exact = mp_unique_composite(d.probs, row)
             assert float(p) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
-    def test_caps(self):
+    def test_caps(self, monkeypatch):
         d = sb.make_distribution(np.ones(30))
         with pytest.raises(sb.TooLargeError):
             sb.transform_unique(d, 30, 9)  # k beyond the unique-mode cap
+        monkeypatch.setenv("SELBOUNDS_MAX_COMPOSITES", "100")
         with pytest.raises(sb.TooLargeError):
-            sb.transform_unique(d, 30, 8, max_composites=100)
+            sb.transform_unique(d, 30, 8)
         with pytest.raises(sb.BadKError):
             sb.transform_unique(d, 5, 6)
 
