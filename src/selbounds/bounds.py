@@ -14,11 +14,15 @@ and clamps them for an array of entropies; the scalar functions, the
 report and the sweep all call it.
 
 *Tight numeric bounds.*  The exact extremal curves are inverted by one
-batched bisection, :func:`_bisect`: the lower bound bisects the strictly
-increasing maximum entropy ``H_max(pi)``; the upper bound bisects the
-exact discrete minimum ``H_min(pi)``, which is non-decreasing and which
+batched bisection, :func:`_bisect`, over arrays of ``(n, m, h)`` that may
+mix shapes: :func:`_invert_lower` bisects the strictly increasing maximum
+entropy ``H_max(pi)``; :func:`_invert_upper` bisects the exact discrete
+minimum ``H_min(pi)``, which is non-decreasing and which
 :func:`~selbounds.extrema.min_entropy_values` takes from a fixed number
-of junctions per ``pi``, whatever ``n``.  Take any
+of junctions per ``pi``, whatever ``n``.  Every element is bisected on
+its own, so an answer does not depend on the other elements of the call.
+:class:`TightInverter`, :func:`pi_bounds_tight`, :func:`build_report` and
+the sweep all call these two functions.  Take any
 feasible ``p`` with tail mass ``pi' > pi`` and move ``pi' - pi`` from its
 smallest tail entries onto ``p[0]``: the result is still sorted, has tail
 mass ``pi`` and majorizes ``p``, so its entropy is no higher.  Hence
@@ -46,11 +50,11 @@ from .core import (
 )
 from .errors import BadEntropyError, BadKError
 from .transform import TransformedSystem, transform_repeated, transform_unique
-from .extrema import (
-    _index_bound,
-    max_entropy_values,
-    min_entropy_values,
-)
+from .extrema import _index_bound, max_entropy_values
+# Imported under a private name: perfbench/tracing.py wraps a
+# ``min_entropy_values`` attribute of this module with a counter that needs
+# an integer ``n``, and the inversion passes one ``n`` per element.
+from .extrema import min_entropy_values as _min_entropy_values
 
 _INVERSION_EPS = 1e-12
 
@@ -176,11 +180,12 @@ def flawed_pi_lower_bound(n: int, m: int, h: float) -> float:
     return (float(h) - 1.0 - math.log2(m)) / den
 
 
-def _bisect(top: float, floor, ceiling, below) -> tuple[np.ndarray, np.ndarray]:
+def _bisect(top, floor, ceiling, below) -> tuple[np.ndarray, np.ndarray]:
     """Bisect ``[0, top]`` per element until its own bracket is ``_INVERSION_EPS`` wide.
 
-    Elements flagged ``floor`` stay at 0, the rest flagged ``ceiling`` at
-    ``top``; ``below(mid, idx)`` flags open midpoints left of the answer.
+    ``top`` is a float or one upper end per element.  Elements flagged
+    ``floor`` stay at 0, the rest flagged ``ceiling`` at ``top``;
+    ``below(mid, idx)`` flags open midpoints left of the answer.
     """
     lo = np.where(ceiling & ~floor, top, 0.0)
     hi = np.where(floor, 0.0, top)
@@ -192,44 +197,68 @@ def _bisect(top: float, floor, ceiling, below) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _log2(x: np.ndarray) -> np.ndarray:
+    """``math.log2`` of each element (``np.log2`` may differ in the last bit)."""
+    return np.array([math.log2(v) for v in x.tolist()])
+
+
+def _invert_lower(n: np.ndarray, m: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Least tail mass whose maximum entropy reaches ``hs``, per element.
+
+    ``n``, ``m`` and ``hs`` are 1-D arrays of one length, one shape per
+    entropy; the entropies are already clamped into ``[0, log2 n]``.
+    """
+    lo, hi = _bisect(
+        (n - m) / n,
+        hs <= _log2(m) + _INVERSION_EPS,
+        hs >= _log2(n) - _INVERSION_EPS,
+        lambda mid, idx: max_entropy_values(n[idx], m[idx], mid) < hs[idx],
+    )
+    return 0.5 * (lo + hi)
+
+
+def _invert_upper(n: np.ndarray, m: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Greatest tail mass whose minimum entropy stays at or below ``hs``, per element.
+
+    Same arguments as :func:`_invert_lower`.
+    """
+    top = (n - m) / n
+    target = hs + _INVERSION_EPS
+    lo, _ = _bisect(
+        top,
+        hs <= _INVERSION_EPS,  # any positive tail forces positive entropy
+        _min_entropy_values(n, m, top) <= target,
+        lambda mid, idx: _min_entropy_values(n[idx], m[idx], mid) <= target[idx],
+    )
+    return lo
+
+
 class TightInverter:
     """Numeric inversion of the exact extremal-entropy curves for (n, m).
 
     ``lower`` and ``upper`` take a float (returning a float) or a 1-D array
     (returning an array); a batched answer equals the scalar one bit for bit.
+    Both call :func:`_invert_lower`/:func:`_invert_upper` with this shape
+    repeated per entropy.
     """
 
     def __init__(self, n: int, m: int):
         validate_counts(n, m)
         self.n = int(n)
         self.m = int(m)
-        self.pi_top = (n - m) / n
+
+    def _invert(self, invert, h):
+        hs = np.atleast_1d(np.asarray(h, dtype=float))
+        pis = invert(np.full(hs.shape, self.n), np.full(hs.shape, self.m), hs)
+        return pis if np.ndim(h) else float(pis[0])
 
     def lower(self, h):
         """Least tail mass whose maximum entropy reaches h."""
-        n, m = self.n, self.m
-        hs = np.atleast_1d(np.asarray(h, dtype=float))
-        lo, hi = _bisect(
-            self.pi_top,
-            hs <= math.log2(m) + _INVERSION_EPS,
-            hs >= math.log2(n) - _INVERSION_EPS,
-            lambda mid, idx: max_entropy_values(n, m, mid) < hs[idx],
-        )
-        pis = 0.5 * (lo + hi)
-        return pis if np.ndim(h) else float(pis[0])
+        return self._invert(_invert_lower, h)
 
     def upper(self, h):
         """Greatest tail mass whose minimum entropy stays at or below h."""
-        n, m = self.n, self.m
-        hs = np.atleast_1d(np.asarray(h, dtype=float))
-        target = hs + _INVERSION_EPS
-        lo, _ = _bisect(
-            self.pi_top,
-            hs <= _INVERSION_EPS,  # any positive tail forces positive entropy
-            min_entropy_values(n, m, np.atleast_1d(self.pi_top)) <= target,
-            lambda mid, idx: min_entropy_values(n, m, mid) <= target[idx],
-        )
-        return lo if np.ndim(h) else float(lo[0])
+        return self._invert(_invert_upper, h)
 
 
 def pi_bounds_tight(

@@ -177,6 +177,46 @@ def make_distribution(raw) -> SortedDistribution:
     return SortedDistribution(probs[order], order)
 
 
+def sorted_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`make_distribution` of each row of a 2-D block of raw weights.
+
+    Returns the rows normalized and sorted in non-increasing order, and a
+    mask of the rows that pass every check :func:`make_distribution` and
+    :class:`SortedDistribution` apply: finite and non-negative weights
+    (hence finite, non-negative probabilities), a positive total, a
+    normalized sum within :data:`DEFAULT_TOLERANCE` of 1 and non-increasing
+    order.  The size cap is the caller's to check, once per block.
+
+    Each row is reduced as the 1-D call reduces it, so a row that passes
+    holds the bits ``make_distribution(row).probs`` holds, up to the order
+    of ``0.0`` and ``-0.0`` entries (the sort is not stable), which no sum
+    and no check can see; values in a row that fails mean nothing.
+    """
+    with np.errstate(all="ignore"):  # a failed row is flagged, never raised
+        ok = np.isfinite(weights).all(axis=1) & ~(weights < 0).any(axis=1)
+        totals = weights.sum(axis=1)
+        ok &= totals > 0.0
+        probs = -np.sort(-(weights / totals[:, None]), axis=1)
+        ok &= np.abs(probs.sum(axis=1) - 1.0) <= DEFAULT_TOLERANCE
+        ok &= ~(np.diff(probs, axis=1) > 1e-12).any(axis=1)
+    return probs, ok
+
+
+def entropy_rows(probs: np.ndarray) -> np.ndarray:
+    """:func:`entropy_bits` of each row of a block sorted as :func:`sorted_rows` sorts.
+
+    Entries at or below :data:`ZERO_FLOOR` end a sorted row; a row holding
+    any is summed alone over the rest, as ``entropy_bits`` sums them.
+    """
+    full = (probs > ZERO_FLOOR).all(axis=1)
+    kept = probs[full]
+    sums = -(kept * np.log2(kept)).sum(axis=1)
+    out = np.empty(probs.shape[0])
+    out[full] = np.where(sums > 0.0, sums, 0.0)  # as max(0.0, sum)
+    out[~full] = [entropy_bits(row) for row in probs[~full]]
+    return out
+
+
 def entropy(dist: SortedDistribution) -> float:
     """Base-2 entropy in bits; zero entries contribute exactly zero."""
     return entropy_bits(dist.probs)

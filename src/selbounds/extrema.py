@@ -96,8 +96,12 @@ def max_entropy_distribution(shape: SystemShape) -> SortedDistribution:
         return SortedDistribution(probs)
 
 
-def max_entropy_values(n: int, m: int, pis: np.ndarray) -> np.ndarray:
-    """:func:`max_entropy` over many tail masses (no tail term at pi <= ZERO_FLOOR)."""
+def max_entropy_values(n, m, pis: np.ndarray) -> np.ndarray:
+    """:func:`max_entropy` over many tail masses (no tail term at pi <= ZERO_FLOOR).
+
+    ``n`` and ``m`` are integers or integer arrays of the shape of ``pis``,
+    one shape per tail mass.
+    """
     pis = np.asarray(pis, dtype=float)
     tail = pis > ZERO_FLOOR
     ratio = np.divide(n - m, pis, out=np.ones(pis.shape), where=tail)
@@ -350,7 +354,7 @@ _CANDIDATE_OFFSETS = np.array(
 )[:, None]
 
 
-def _junction_candidates(n: int, m: int, pis: np.ndarray, cap: np.ndarray) -> np.ndarray:
+def _junction_candidates(n, m, pis: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """Slot counts ``s``, one row per candidate, whose junctions hold the minimum.
 
     ``cap`` is the validity limit ``(1-pi)/m + REMAINDER_SNAP`` on ``pi/s``.
@@ -359,6 +363,7 @@ def _junction_candidates(n: int, m: int, pis: np.ndarray, cap: np.ndarray) -> np
     ``floor(r2) + 0, 1`` for the upper root ``r2`` of ``d`` (module
     docstring) with ``_ROOT_WINDOW`` more on each side; and ``n - m``.  All
     are clipped into ``[1, n - m]``; which are valid is left to the caller.
+    ``n`` and ``m`` are integers or arrays of the shape of ``pis``.
 
     ``r2`` is found by Newton on ``e = s - s_c``, where ``d`` reads
     ``c*ln(a*(e+c)) - s_c - e`` with ``c = m-1``, ``a = (1-pi)/pi`` and
@@ -376,11 +381,14 @@ def _junction_candidates(n: int, m: int, pis: np.ndarray, cap: np.ndarray) -> np
         e = np.maximum(e + (c * np.log(a * v) - s_c - e) * v / e, 0.5)
     base = np.floor(np.stack([pis / cap, s_c + e]))
     cols = base[_CANDIDATE_ROWS] + _CANDIDATE_OFFSETS
-    return np.minimum(np.maximum(cols, 1.0), float(n - m))
+    return np.minimum(np.maximum(cols, 1.0), n - m)
 
 
-def min_entropy_values(n: int, m: int, pis: np.ndarray) -> np.ndarray:
+def min_entropy_values(n, m, pis: np.ndarray) -> np.ndarray:
     """Vectorized minimum-entropy values for many tail masses at once.
+
+    ``n`` and ``m`` are integers or integer arrays of the shape of ``pis``,
+    one shape per tail mass, so one call can cover many shapes.
 
     Closed-form evaluation of the candidate entropies (no distributions are
     built): the right endpoint through the same kernel as
@@ -397,16 +405,18 @@ def min_entropy_values(n: int, m: int, pis: np.ndarray) -> np.ndarray:
     equals :func:`min_entropy` bit for bit while every junction ``pi/s`` is
     at least ``REMAINDER_SNAP``; below that the kernel's snap can drop a
     tail slot that the junction values keep.  Used by the bisection that
-    inverts the minimum-entropy curve.
+    inverts the minimum-entropy curve.  Where ``m = n`` the tail mass is
+    clipped to 0 and the value is 0.
     """
-    pis = np.clip(np.asarray(pis, dtype=float), 0.0, (n - m) / n)
+    pis = np.asarray(pis, dtype=float)
+    # as floats: every use is float arithmetic, exact on these integers
+    n, m = np.full(pis.shape, n, dtype=float), np.full(pis.shape, m, dtype=float)
+    pis = np.clip(pis, 0.0, (n - m) / n)
     out = np.zeros(pis.shape)
-    if m == n:
-        return out
     active = pis >= REMAINDER_SNAP
     if not active.any():
         return out
-    pa = pis[active]
+    n, m, pa = n[active], m[active], pis[active]
     hi = (1.0 - pa) / m
     best = _candidate_entropies(m, pa, hi)
     # At junction s the tail holds exactly s full slots and no remainder,

@@ -3,7 +3,11 @@
 The sweep harness samples random distributions per shape, evaluates the
 analytic and tight bounds at the observed entropy, and flags any record
 whose observed tail mass escapes the analytic interval.  Violations are
-data, never aborts.  The randomized polytope search and the exhaustive
+data, never aborts.  It works on arrays: each shape's scenarios are drawn
+into row blocks (each scenario from its own seeded stream) and reduced to
+entropies and tail masses row by row; the analytic bounds take one call
+per shape, and each tight bound one bisection over every record of every
+shape.  The randomized polytope search and the exhaustive
 transform enumeration give independent pressure on the closed-form
 machinery they double-check.
 """
@@ -16,19 +20,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import TightInverter, _analytic_bounds, _clamp
+from .bounds import _analytic_bounds, _clamp, _invert_lower, _invert_upper
 from .core import (
+    _DEFAULT_MAX_STATES,
     DEFAULT_TOLERANCE,
     ZERO_FLOOR,
     SortedDistribution,
     SystemShape,
     built_internally,
-    entropy,
     entropy_bits,
+    entropy_rows,
+    env_cap,
     format_number,
     make_distribution,
     parse_key_values,
-    tail_probability,
+    sorted_rows,
 )
 from .errors import BadConfigError, NumericFailureError, TooLargeError
 from .rng import derive_rng
@@ -48,6 +54,11 @@ REFERENCE_SWEEP_SHAPES: tuple[tuple[int, int], ...] = (
 )
 
 _SAMPLER_KINDS = ("dirichlet_symmetric", "spiky")
+
+#: Most weights the sweep holds in one sampling block; a shape's scenarios
+#: are drawn ``2**14 // n`` rows at a time, so memory does not grow with
+#: the scenario count.
+_BLOCK_CELLS = 1 << 14
 
 #: CSV column order for sweep records (stable interface).
 SWEEP_CSV_HEADER = (
@@ -149,15 +160,20 @@ def parse_sweep_config(text: str) -> SweepConfig:
     return SweepConfig(tuple(shapes), scenarios, seed, SamplerSpec(kind, alpha))
 
 
+def _draw_weights(n: int, sampler: SamplerSpec, rng: np.random.Generator) -> np.ndarray:
+    """n raw weights from the sampler family, drawn again while all are zero."""
+    for _ in range(64):
+        weights = rng.standard_gamma(sampler.alpha, size=n)
+        if float(weights.sum()) > 0.0:
+            return weights
+    raise NumericFailureError("sampler kept producing all-zero weight vectors")
+
+
 def sample_distribution(
     n: int, sampler: SamplerSpec, rng: np.random.Generator
 ) -> SortedDistribution:
     """Draw n weights from the sampler family, normalize, sort descending."""
-    for _ in range(64):
-        weights = rng.standard_gamma(sampler.alpha, size=n)
-        if float(weights.sum()) > 0.0:
-            return make_distribution(weights)
-    raise NumericFailureError("sampler kept producing all-zero weight vectors")
+    return make_distribution(_draw_weights(n, sampler, rng))
 
 
 def sample_feasible(shape: SystemShape, rng: np.random.Generator) -> SortedDistribution:
@@ -187,40 +203,72 @@ def sample_feasible(shape: SystemShape, rng: np.random.Generator) -> SortedDistr
         return SortedDistribution(probs)
 
 
-def _sweep_shape(
-    config: SweepConfig, shape_index: int, tol: float
-) -> list[SweepRecord]:
+def _observe_shape(config: SweepConfig, shape_index: int) -> np.ndarray:
+    """Observed entropy and tail mass (two rows) of each scenario of one shape.
+
+    NaN where a scenario failed.  Scenario ``i`` draws its weights from
+    ``derive_rng(seed, shape_index, i)``; the rows of a block are then
+    checked, normalized and sorted as :func:`sample_distribution` does.
+    A shape above the ``SELBOUNDS_MAX_STATES`` cap fails every scenario; a
+    malformed cap raises.
+    """
     n, m = config.shapes[shape_index]
-    inverter = TightInverter(n, m)
     count = config.scenarios_per_shape
-    h, pi_obs = np.full(count, np.nan), np.full(count, np.nan)  # NaN where it failed
-    for scenario_id in range(count):
-        rng = derive_rng(config.seed, shape_index, scenario_id)
-        try:
-            dist = sample_distribution(n, config.sampler, rng)
-            h[scenario_id], pi_obs[scenario_id] = entropy(dist), tail_probability(dist, m)
-        except Exception:  # failures are data; the sweep never aborts
-            pass
-    ok = ~np.isnan(h)
-    hs = _clamp(h[ok], 0.0, math.log2(n))
-    bounds = np.full((4, count), np.nan)  # analytic lb, ub; tight lb, ub
-    try:  # one batched call per kind of bound: a failure fails the whole shape
-        lb, ub, _, _ = _analytic_bounds(n, m, hs)
-        bounds[:, ok] = lb, ub, inverter.lower(hs), inverter.upper(hs)
-    except Exception:
-        h[:] = pi_obs[:] = np.nan
-    violation = ~((bounds[0] - tol <= pi_obs) & (pi_obs <= bounds[1] + tol))
-    rows = zip(h.tolist(), pi_obs.tolist(), *bounds.tolist(), violation.tolist())
-    return [SweepRecord(i, n, m, *row) for i, row in enumerate(rows)]
+    out = np.full((2, count), np.nan)
+    if n > env_cap("SELBOUNDS_MAX_STATES", _DEFAULT_MAX_STATES):
+        return out
+    rows = max(1, _BLOCK_CELLS // n)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        block = np.ones((stop - start, n))
+        drawn = np.zeros(stop - start, dtype=bool)
+        for row in range(stop - start):
+            rng = derive_rng(config.seed, shape_index, start + row)
+            try:
+                block[row] = _draw_weights(n, config.sampler, rng)
+            except Exception:  # failures are data; the sweep never aborts
+                continue
+            drawn[row] = True
+        probs, ok = sorted_rows(block)
+        ok &= drawn
+        probs = probs[ok]
+        out[:, start:stop][:, ok] = entropy_rows(probs), probs[:, m:].sum(axis=1)
+    return out
 
 
 def run_sweep(
     config: SweepConfig, tol: float = DEFAULT_TOLERANCE
 ) -> tuple[list[SweepRecord], dict]:
-    """Execute the sweep; returns (records sorted by shape/scenario, summary)."""
-    records = [
-        rec for i in range(len(config.shapes)) for rec in _sweep_shape(config, i, tol)
-    ]
+    """Execute the sweep; returns (records sorted by shape/scenario, summary).
+
+    A failed scenario, a failed analytic call (which fails its shape) and a
+    failed tight bisection (which fails every record) give NaN records
+    flagged as violations; the sweep itself always completes.
+    """
+    shapes, count = config.shapes, config.scenarios_per_shape
+    h, pi_obs = np.concatenate([_observe_shape(config, i) for i in range(len(shapes))], axis=1)
+    ns, ms = np.repeat(np.array(shapes).T, count, axis=1)
+    hs = _clamp(h, 0.0, np.repeat([math.log2(n) for n, _ in shapes], count))
+    bounds = np.full((4, h.size), np.nan)  # analytic lb, ub; tight lb, ub
+    for i, (n, m) in enumerate(shapes):
+        span = slice(i * count, (i + 1) * count)
+        ok = ~np.isnan(h[span])
+        try:  # one batched call per shape: a failure fails the shape
+            bounds[:2, span][:, ok] = _analytic_bounds(n, m, hs[span][ok])[:2]
+        except Exception:
+            h[span] = pi_obs[span] = np.nan
+    ok = ~np.isnan(h)
+    try:  # one bisection per bound over every shape: a failure fails every record
+        bounds[2:, ok] = (
+            _invert_lower(ns[ok], ms[ok], hs[ok]),
+            _invert_upper(ns[ok], ms[ok], hs[ok]),
+        )
+    except Exception:
+        h[:] = pi_obs[:] = bounds[:] = np.nan
+    violation = ~((bounds[0] - tol <= pi_obs) & (pi_obs <= bounds[1] + tol))
+    ids = np.tile(np.arange(count), len(shapes))
+    columns = (ids, ns, ms, h, pi_obs, *bounds, violation)
+    records = [SweepRecord(*row) for row in zip(*(c.tolist() for c in columns))]
     return records, summarize(records)
 
 

@@ -17,6 +17,8 @@ import numpy as np
 from mpmath import mp, mpf, log
 
 import selbounds.oracle as oracle
+from selbounds.bounds import TightInverter
+from selbounds.core import entropy, tail_probability
 from selbounds.extrema import REMAINDER_SNAP, _candidate_entropies, _fe
 
 mp.dps = 50
@@ -270,19 +272,20 @@ def reference_analytic(n, m, h):
 def reference_sweep_shape(config, shape_index, tol):
     """The sweep of one shape, record by record, with scalar bound calls.
 
-    Samples through ``selbounds.oracle``'s module attributes, so a patched
-    sampler acts here as in the library; any failure makes a NaN record.
+    Samples through ``selbounds.oracle.sample_distribution``, which draws
+    through the module's ``_draw_weights``, so a patched draw acts here as
+    in the library; any failure makes a NaN record.
     """
     n, m = config.shapes[shape_index]
-    inverter = oracle.TightInverter(n, m)
+    inverter = TightInverter(n, m)
     nan = float("nan")
     out = []
     for scenario_id in range(config.scenarios_per_shape):
         rng = oracle.derive_rng(config.seed, shape_index, scenario_id)
         try:
             dist = oracle.sample_distribution(n, config.sampler, rng)
-            h = oracle.entropy(dist)
-            pi_obs = oracle.tail_probability(dist, m)
+            h = entropy(dist)
+            pi_obs = tail_probability(dist, m)
             h_c = min(max(h, 0.0), math.log2(n))
             lb, ub = reference_analytic(n, m, h_c)[:2]
             lt, ut = inverter.lower(h_c), inverter.upper(h_c)

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mpf
 
 import selbounds as sb
+import selbounds.bounds as bounds_mod
 from helpers import (
     batch_entropy,
     feasible_batch,
@@ -127,6 +128,14 @@ class TestTightBounds:
     def test_zero_entropy_point(self):
         assert sb.pi_bounds_tight(9, 4, 0.0) == (0.0, 0.0)
 
+    def test_lower_is_zero_up_to_log2_m(self):
+        # np.log2 rounds log2(m) one ulp away from math.log2 at these m; the
+        # edge of the flat zero is taken from math.log2, as for one shape
+        ms = np.array([1621, 3242, 6484, 12968])
+        hs = np.array([math.log2(m) + 1e-12 for m in ms.tolist()])
+        assert bounds_mod._invert_lower(2 * ms + 1, ms, hs).tolist() == [0.0] * 4
+        assert [sb.pi_bounds_tight(2 * m + 1, m, h)[0] for m, h in zip(ms, hs)] == [0.0] * 4
+
     def test_binary_entropy_point(self):
         h = mp_entropy([0.7, 0.3])
         lo, hi = sb.pi_bounds_tight(3, 1, h)
@@ -187,7 +196,8 @@ class TestTightUpperInversion:
 
     @pytest.mark.parametrize("bound", ["lower", "upper"])
     def test_batched_equals_scalar(self, rng, bound):
-        for n, m in self._shapes(rng) + [(7, 7)]:
+        mixed = []  # (n, m, h, scalar answer) over every shape
+        for n, m in self._shapes(rng) + [(7, 7), (1, 1)]:
             top = math.log2(n)
             edges = [0.0, 1e-13, math.log2(m), math.log2(m) + 1e-13, top - 1e-13, top]
             hs = np.concatenate([edges, rng.uniform(0.0, top, 20)])
@@ -197,6 +207,11 @@ class TestTightUpperInversion:
             scalar = [invert(float(h)) for h in hs]
             assert all(isinstance(v, float) for v in scalar)
             assert batch.tolist() == scalar, (n, m)
+            mixed += [(n, m, h, v) for h, v in zip(hs.tolist(), scalar)]
+        # one call over every shape at once, in shuffled order, as the sweep makes it
+        ns, ms, hs, want = (np.array(c) for c in zip(*rng.permutation(np.array(mixed))))
+        got = getattr(bounds_mod, f"_invert_{bound}")(ns.astype(int), ms.astype(int), hs)
+        assert got.tolist() == want.tolist()
 
 
 class TestMeritBounds:

@@ -180,6 +180,7 @@ class TestBadSettings:
             ("SELBOUNDS_MAX_K_REPEATED", "-3",
              ("transform", "--dist", "{tmp}/w.txt", "--m", "2", "--k", "2",
               "--mode", "repeated")),
+            ("SELBOUNDS_MAX_STATES", "abc", ("sweep", "--paper-figs", "--scenarios", "2")),
         ],
     )
     def test_malformed_cap_variable_is_one_error_line(
@@ -323,6 +324,22 @@ class TestSweepCommand:
         plain = run_cli(capsys, *argv)
         assert plain[0] == 0
         assert run_cli(capsys, *argv, "--threads", "1") == plain
+
+    def test_state_cap_below_n_fails_only_those_shapes(self, capsys, monkeypatch):
+        argv = ("sweep", "--paper-figs", "--scenarios", "2", "--format", "csv")
+        code, free, _ = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setenv("SELBOUNDS_MAX_STATES", "100")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and len(out.splitlines()) == len(free.splitlines()) == 17
+        for row, capped in zip(out.splitlines()[1:], free.splitlines()[1:]):
+            cells = row.split(",")
+            if int(cells[1]) <= 100:
+                assert row == capped
+            else:
+                assert cells[3:9] == ["nan"] * 6 and cells[9] == "true"
+        summary = json.loads(err)
+        assert summary["total"] == 16 and summary["failures"] == 8
 
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep")

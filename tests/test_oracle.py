@@ -6,6 +6,7 @@ import pytest
 
 import selbounds as sb
 import selbounds.oracle as oracle_mod
+from selbounds.core import ZERO_FLOOR
 from helpers import mp_entropy, reference_sweep_shape
 
 
@@ -79,59 +80,75 @@ class TestSweep:
             assert r.pi_observed - 1e-9 <= r.pi_ub_tight <= r.pi_ub_analytic + 1e-9
 
     @pytest.mark.parametrize("bound", ["lower", "upper"])
-    def test_failed_inversion_fails_only_its_shape(self, monkeypatch, bound):
-        invert = getattr(sb.TightInverter, bound)
+    def test_failed_inversion_fails_every_record(self, monkeypatch, bound):
+        # one bisection covers every shape, so its failure fails every record
+        invert = getattr(oracle_mod, f"_invert_{bound}")
 
-        def flaky(self, h):
-            if self.n == 8:
+        def flaky(n, m, hs):
+            if (n == 8).any():
                 raise FloatingPointError("injected")
-            return invert(self, h)
+            return invert(n, m, hs)
 
-        monkeypatch.setattr(sb.TightInverter, bound, flaky)
+        monkeypatch.setattr(oracle_mod, f"_invert_{bound}", flaky)
         config = sb.SweepConfig(((15, 4), (8, 6)), 6, 3)
         records, summary = sb.run_sweep(config)
         assert [r.scenario_id for r in records] == list(range(6)) * 2
-        assert all(math.isfinite(r.pi_ub_tight) for r in records[:6])
-        assert all(math.isnan(r.entropy_bits) and r.violation for r in records[6:])
-        assert summary["failures"] == 6
+        assert all(math.isnan(r.entropy_bits) and r.violation for r in records)
+        for r in records:
+            values = (r.pi_observed, r.pi_lb_analytic, r.pi_ub_analytic,
+                      r.pi_lb_tight, r.pi_ub_tight)
+            assert all(math.isnan(v) for v in values)
+        assert summary["failures"] == summary["total"] == 12
 
-    def test_one_batched_inversion_per_bound_and_shape(self, monkeypatch):
+    def test_one_batched_inversion_per_bound(self, monkeypatch):
         calls = []
         for bound in ("lower", "upper"):
-            invert = getattr(sb.TightInverter, bound)
+            invert = getattr(oracle_mod, f"_invert_{bound}")
 
-            def counted(self, h, invert=invert, bound=bound):
-                calls.append((bound, self.n, np.shape(h)))
-                return invert(self, h)
+            def counted(n, m, hs, invert=invert, bound=bound):
+                calls.append((bound, n.tolist(), m.tolist(), hs.shape))
+                return invert(n, m, hs)
 
-            monkeypatch.setattr(sb.TightInverter, bound, counted)
+            monkeypatch.setattr(oracle_mod, f"_invert_{bound}", counted)
         sb.run_sweep(sb.SweepConfig(((15, 4), (8, 6)), 6, 3))
-        assert sorted(calls) == sorted(
-            (bound, n, (6,)) for bound in ("lower", "upper") for n in (15, 8)
-        )
+        shapes = ([15] * 6 + [8] * 6, [4] * 6 + [6] * 6, (12,))
+        assert calls == [("lower", *shapes), ("upper", *shapes)]
 
     @pytest.mark.parametrize("sampler", [sb.SamplerSpec(), sb.SamplerSpec("spiky", 0.05)])
     @pytest.mark.parametrize("fail_calls", [(), (1, 17, 30)])
     def test_records_match_per_record_reference(self, monkeypatch, sampler, fail_calls):
-        real = oracle_mod.sample_distribution
-        calls = itertools.count()
-
-        def flaky(n, sampler, rng):
-            if next(calls) in fail_calls:
-                raise RuntimeError("injected")
-            return real(n, sampler, rng)
-
-        monkeypatch.setattr(oracle_mod, "sample_distribution", flaky)
-        config = sb.SweepConfig(((1, 1), (6, 1), (7, 7), (12, 3), (25, 20), (40, 2)), 8, 4, sampler)
-        records, _ = sb.run_sweep(config)
-        calls = itertools.count()
-        expected = [
-            rec for i in range(len(config.shapes))
-            for rec in reference_sweep_shape(config, i, sb.DEFAULT_TOLERANCE)
+        # Small shapes, then paper shapes whose sums run past numpy's
+        # 128-element pairwise block, and n = 4000, which fills a 2**14-cell
+        # block with 4 rows, so its 5 scenarios take two blocks.
+        configs = [
+            sb.SweepConfig(((1, 1), (6, 1), (7, 7), (12, 3), (25, 20), (40, 2)), 8, 4, sampler),
+            sb.SweepConfig(((200, 40), (1000, 400), (1500, 1000), (4000, 7)), 5, 8, sampler),
         ]
-        # repr compares floats bit for bit, NaN equal to NaN, -0.0 apart from 0.0
-        assert repr(records) == repr(expected)
-        assert sum(math.isnan(r.entropy_bits) for r in records) == len(fail_calls)
+        real = oracle_mod._draw_weights
+        for config in configs:
+            calls = itertools.count()
+
+            def flaky(n, sampler, rng):
+                if next(calls) in fail_calls:
+                    raise RuntimeError("injected")
+                return real(n, sampler, rng)
+
+            monkeypatch.setattr(oracle_mod, "_draw_weights", flaky)
+            records, _ = sb.run_sweep(config)
+            calls = itertools.count()
+            expected = [
+                rec for i in range(len(config.shapes))
+                for rec in reference_sweep_shape(config, i, sb.DEFAULT_TOLERANCE)
+            ]
+            # repr compares floats bit for bit, NaN equal to NaN, -0.0 apart from 0.0
+            assert repr(records) == repr(expected)
+            draws = len(config.shapes) * config.scenarios_per_shape
+            failed = sum(math.isnan(r.entropy_bits) for r in records)
+            assert failed == sum(c < draws for c in fail_calls)
+        if sampler.kind == "spiky":
+            # the spiky rows hold entries that entropy drops
+            dist = sb.sample_distribution(1500, sampler, sb.derive_rng(8, 2, 0))
+            assert dist.probs.min() <= ZERO_FLOOR
 
     def test_csv_shape_and_determinism(self):
         config = sb.SweepConfig(((6, 2),), 4, 21)
@@ -183,7 +200,7 @@ class TestSweep:
 
     def test_row_failures_never_abort(self, monkeypatch):
         # a scenario that blows up becomes a nan row, not an aborted sweep
-        real = oracle_mod.sample_distribution
+        real = oracle_mod._draw_weights
         calls = {"n": 0}
 
         def flaky(n, sampler, rng):
@@ -192,7 +209,7 @@ class TestSweep:
                 raise RuntimeError("boom")
             return real(n, sampler, rng)
 
-        monkeypatch.setattr(oracle_mod, "sample_distribution", flaky)
+        monkeypatch.setattr(oracle_mod, "_draw_weights", flaky)
         records, summary = sb.run_sweep(sb.SweepConfig(((6, 2),), 3, 1))
         assert len(records) == 3
         assert summary["failures"] == 1
