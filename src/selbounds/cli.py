@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
+import math
 import sys
 from collections.abc import Iterable
 from pathlib import Path
@@ -19,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import bounds_for_k, build_report
 from .core import (
     DEFAULT_TOLERANCE,
     SystemShape,
@@ -31,22 +32,39 @@ from .core import (
     tail_probability,
 )
 from .errors import NumericFailureError, ValidationError
-from .extrema import (
-    max_entropy_distribution,
-    min_entropy,
-    piecewise_curve,
-)
-from .oracle import (
-    oracle_min_entropy,
-    oracle_transform_check,
-    parse_sweep_config,
-    records_to_csv,
-    reference_sweep_config,
-    run_sweep,
-)
 from .rng import derive_rng
-from .scenarios import parse_scenario_config, run_scenario
-from .transform import transform_repeated, transform_unique
+
+
+def _lazy(module: str, name: str):
+    """Stand-in for ``selbounds.<module>.<name>`` that imports the module when called.
+
+    A command then imports only the modules it runs.  The stand-ins are
+    attributes of this module, not imports inside the handlers, so code
+    that wraps ``selbounds.cli.<name>`` (perfbench's tracer) still finds
+    every name.
+    """
+    def forward(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+bounds_for_k = _lazy("bounds", "bounds_for_k")
+build_report = _lazy("bounds", "build_report")
+max_entropy_distribution = _lazy("extrema", "max_entropy_distribution")
+min_entropy = _lazy("extrema", "min_entropy")
+piecewise_curve = _lazy("extrema", "piecewise_curve")
+oracle_min_entropy = _lazy("oracle", "oracle_min_entropy")
+oracle_transform_check = _lazy("oracle", "oracle_transform_check")
+parse_sweep_config = _lazy("oracle", "parse_sweep_config")
+records_to_csv = _lazy("oracle", "records_to_csv")
+reference_sweep_config = _lazy("oracle", "reference_sweep_config")
+run_sweep = _lazy("oracle", "run_sweep")
+parse_scenario_config = _lazy("scenarios", "parse_scenario_config")
+run_scenario = _lazy("scenarios", "run_scenario")
+transform_repeated = _lazy("transform", "transform_repeated")
+transform_unique = _lazy("transform", "transform_unique")
 
 
 class _UsageError(ValidationError):
@@ -127,6 +145,22 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _tolerance(text: str) -> float:
+    """Parse ``--tolerance``: a finite number >= 0.
+
+    A NaN or negative tolerance makes the bound checks fail and an
+    infinite one makes them all pass, either way reported as a result of
+    the bounds rather than as a bad option.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="selbounds",
@@ -144,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1,
                         help="ignored: everything runs in one thread (kept because "
                              "the perfbench sweep workload passes --threads 1)")
-    common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+    common.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
                         help="numeric tolerance for feasibility and bound checks")
 
     sub = parser.add_subparsers(dest="command", required=True)

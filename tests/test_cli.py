@@ -192,6 +192,28 @@ class TestBadSettings:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {name} ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--paper-figs", "--scenarios", "2"),
+            ("bounds", "--n", "20", "--m", "6", "--entropy", "4"),
+        ],
+    )
+    def test_non_finite_or_negative_tolerance_is_one_error_line(self, capsys, argv, value):
+        # such a tolerance fails every bound check: it must read as a bad
+        # option, not as violated bounds
+        code, out, err = run_cli(capsys, *argv, "--tolerance", value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: argument --tolerance: ") and len(err.splitlines()) == 1
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--n", "20", "--m", "6", "--entropy", "4", "--tolerance", "0"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["n"] == 20
+
 
 class TestOptions:
     def test_threads_is_the_only_ignored_option(self):
