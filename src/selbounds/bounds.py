@@ -405,7 +405,7 @@ def bounds_for_k(
     if mode not in ("unique", "repeated"):
         raise BadKError(f"mode must be 'unique' or 'repeated', got {mode!r}")
     transform = transform_unique if mode == "unique" else transform_repeated
-    ts = transform(dist, m, k)
+    ts = transform(dist, m, k, tol)
     return transformed_report(ts, include_flawed, tol)
 
 

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Every capability is exposed as a subcommand emitting machine-readable
-JSON or CSV (``--format``), to stdout or ``--out``.  Exit codes: 0 on
-success, 1 on any input/validation problem (single-line ``error: ...`` on
-stderr), 2 on internal numeric failure.  All randomized commands are
-seeded and produce byte-identical output for identical invocations.
+JSON or CSV (``--format``; ``scenario`` and ``oracle-check`` are JSON
+only), to stdout or ``--out``.  Each subcommand takes only the shared
+options it reads.  Exit codes: 0 on success, 1 on any input/validation
+problem (single-line ``error: ...`` on stderr), 2 on internal numeric
+failure.  All randomized commands are seeded and produce byte-identical
+output for identical invocations.
 """
 
 from __future__ import annotations
@@ -161,6 +163,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """Parse a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="selbounds",
@@ -170,21 +183,23 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output encoding (default json)")
-    common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    common.add_argument("--seed", type=int, default=None, help="override the random seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="ignored: everything runs in one thread (kept because "
-                             "the perfbench sweep workload passes --threads 1)")
-    common.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
-                        help="numeric tolerance for feasibility and bound checks")
+    # Each subcommand takes only the shared options it reads; parent
+    # parsers copy their actions instead of re-validating each one.
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="output encoding (default json; scenario and "
+                             "oracle-check are JSON only)")
+    output.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="override the random seed")
+    tolerant = _Parser(add_help=False)
+    tolerant.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
+                          help="numeric tolerance for feasibility and bound checks")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "bounds", parents=[common],
+        "bounds", parents=[output, tolerant],
         help="error/merit probability bounds at a given entropy",
         description=(
             "Closed-form lower/upper bounds on the optimal selection's error "
@@ -203,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the uncorrected lower-bound formula")
 
     p = sub.add_parser(
-        "extrema", parents=[common],
+        "extrema", parents=[output],
         help="maximum- or minimum-entropy distribution for (n, m, pi)",
         description=(
             "Constructs the flat-segment maximum-entropy distribution or runs "
@@ -216,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("max", "min"), default="max")
 
     p = sub.add_parser(
-        "curve", parents=[common],
+        "curve", parents=[output],
         help="entropy-vs-p_hat curve with junction markers",
         description=(
             "Samples the piecewise-concave entropy curve over the feasible "
@@ -230,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
 
     p = sub.add_parser(
-        "transform", parents=[common],
+        "transform", parents=[output, tolerant],
         help="composite system for a multi-object requirement",
         description=(
             "Rewrites the system over k-combinations (unique) or k-multisets "
@@ -243,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("unique", "repeated"), required=True)
 
     p = sub.add_parser(
-        "sweep", parents=[common],
+        "sweep", parents=[output, seeded, tolerant],
         help="Monte Carlo verification sweep of the bound sandwich",
         description=(
             "Samples random distributions per shape, evaluates all bounds at "
@@ -259,9 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override scenarios per shape")
     p.add_argument("--summary-out", metavar="PATH",
                    help="also write the summary JSON to PATH")
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored: everything runs in one thread (kept because "
+                        "the perfbench sweep workload passes --threads 1)")
 
     p = sub.add_parser(
-        "scenario", parents=[common],
+        "scenario", parents=[output, seeded, tolerant],
         help="cache-prefetch or scheduling application report",
         description=(
             "Runs a configured application scenario: bound report, exact "
@@ -271,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="FILE", required=True)
 
     p = sub.add_parser(
-        "oracle-check", parents=[common],
+        "oracle-check", parents=[output, seeded],
         help="independent randomized/brute-force validators",
         description=(
             "Cross-checks the discrete minimum-entropy search against a "
@@ -280,15 +298,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--min-entropy", action="store_true")
-    group.add_argument("--transform", action="store_true")
+    group.add_argument("--min-entropy", dest="check", action="store_const", const="min_entropy")
+    group.add_argument("--transform", dest="check", action="store_const", const="transform")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--pi", type=float)
     p.add_argument("--k", type=int)
-    p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--iters", type=int, default=5000)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--restarts", type=_positive_int,
+                   help="--min-entropy descent restarts (default 100)")
+    p.add_argument("--iters", type=_positive_int,
+                   help="--min-entropy iterations per restart (default 5000)")
+    p.add_argument("--trials", type=_positive_int,
+                   help="--transform random distributions (default 20)")
 
     return parser
 
@@ -297,6 +318,12 @@ def _require(args, names: list[str]) -> None:
     for name in names:
         if getattr(args, name.replace("-", "_"), None) is None:
             raise _UsageError(f"--{name} is required for this invocation")
+
+
+def _reject(args, names: list[str], mode: str) -> None:
+    for name in names:
+        if getattr(args, name) is not None:
+            raise _UsageError(f"--{name} does not apply to {mode}")
 
 
 def _cmd_bounds(args) -> tuple[str, str | None]:
@@ -352,7 +379,7 @@ def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
         dist = max_entropy_distribution(shape)
         bits = entropy(dist)
         meta = {"which": "max", "n": shape.n, "m": shape.m, "pi": shape.pi,
-                "entropy_bits": bits, "probs": [float(p) for p in dist.probs]}
+                "entropy_bits": bits, "probs": dist.probs.tolist()}
     else:
         result = min_entropy(shape)
         dist = result.argmin_distribution
@@ -360,7 +387,7 @@ def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
         meta = {
             "which": "min", "n": shape.n, "m": shape.m, "pi": shape.pi,
             "entropy_bits": bits,
-            "probs": [float(p) for p in dist.probs],
+            "probs": dist.probs.tolist(),
             "index_bound": result.index_bound,
             "argmin_index": result.argmin_index,
             "candidates": [
@@ -410,9 +437,10 @@ def _cmd_transform(args) -> tuple[str | Iterable[str], str | None]:
             **header,
             "selection_mismatch": ts.selection_mismatch,
             "composites": [
-                {"ids": [int(i) for i in ids], "probability": float(p),
-                 "in_selected_set": bool(flag)}
-                for ids, p, flag in zip(ts.composite_index, ts.dist.probs, ts.in_selected)
+                {"ids": ids, "probability": p, "in_selected_set": flag}
+                for ids, p, flag in zip(
+                    ts.composite_index.tolist(), ts.dist.probs.tolist(), ts.in_selected.tolist()
+                )
             ],
         }), None
     head = f"# {json.dumps(header)}\ncomposite_ids,probability,in_selected_set\n"
@@ -449,8 +477,6 @@ def _cmd_sweep(args) -> tuple[str, str | None]:
 
 
 def _cmd_scenario(args) -> tuple[str, str | None]:
-    if args.format == "csv":
-        raise _UsageError("scenario reports are JSON only; use --format json")
     path = Path(args.config)
     cfg = parse_scenario_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
     if args.seed is not None:
@@ -461,22 +487,27 @@ def _cmd_scenario(args) -> tuple[str, str | None]:
 
 def _cmd_oracle_check(args) -> tuple[str, str | None]:
     seed = 0 if args.seed is None else args.seed
-    if args.min_entropy:
+    if args.check == "min_entropy":
+        _reject(args, ["k", "trials"], "--min-entropy")
         _require(args, ["n", "m", "pi"])
         shape = SystemShape(args.n, args.m, args.pi)
+        restarts = 100 if args.restarts is None else args.restarts
+        iters = 5000 if args.iters is None else args.iters
         rng = derive_rng(seed, 1)
-        found = oracle_min_entropy(shape, args.restarts, args.iters, rng)
+        found = oracle_min_entropy(shape, restarts, iters, rng)
         exact = min_entropy(shape).min_entropy_bits
         return _json({
             "check": "min_entropy", "n": shape.n, "m": shape.m, "pi": shape.pi,
-            "restarts": args.restarts, "iters": args.iters, "seed": seed,
+            "restarts": restarts, "iters": iters, "seed": seed,
             "oracle_entropy_bits": found,
             "exact_min_entropy_bits": exact,
             "oracle_minus_exact": found - exact,
         }), None
+    _reject(args, ["m", "pi", "restarts", "iters"], "--transform")
     _require(args, ["n", "k"])
     rng = derive_rng(seed, 2)
-    report = oracle_transform_check(args.n, args.k, args.trials, rng)
+    trials = 20 if args.trials is None else args.trials
+    report = oracle_transform_check(args.n, args.k, trials, rng)
     report = {"check": "transform", "seed": seed, **report}
     return _json(report), None
 
@@ -491,11 +522,16 @@ _COMMANDS = {
     "oracle-check": _cmd_oracle_check,
 }
 
+#: Commands whose reports have no CSV form.
+_JSON_ONLY = ("scenario", "oracle-check")
+
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and args.command in _JSON_ONLY:
+            raise _UsageError(f"{args.command} reports are JSON only; use --format json")
         with np.errstate(over="raise", invalid="ignore", divide="ignore"):
             body, side_text = _COMMANDS[args.command](args)
         _emit(body, args.out)

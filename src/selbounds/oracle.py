@@ -36,7 +36,7 @@ from .core import (
     parse_key_values,
     sorted_rows,
 )
-from .errors import BadConfigError, NumericFailureError, TooLargeError
+from .errors import BadConfigError, BadKError, BadMError, NumericFailureError, TooLargeError
 from .rng import derive_rng
 from .transform import transform_repeated, transform_unique
 
@@ -472,6 +472,10 @@ def oracle_transform_check(
     replacement) is evaluated by a plain chain/product loop and grouped
     into composites; the grouped masses must match the transform outputs.
     """
+    if n < 1:
+        raise BadMError(f"n must satisfy n >= 1, got {n}")
+    if k < 1:
+        raise BadKError(f"k must satisfy k >= 1, got {k}")
     if n > 6 or k > 3:
         raise TooLargeError("total enumeration is capped at n <= 6, k <= 3")
     if rng is None:

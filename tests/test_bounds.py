@@ -330,6 +330,13 @@ class TestBoundsForK:
         expected_h = mp_entropy([2 / 9, 2 / 9, 2 / 9, 1 / 9, 1 / 9, 1 / 9])
         assert r.entropy_bits == pytest.approx(expected_h, abs=1e-12)
 
+    def test_tolerance_reaches_the_transform(self):
+        d = sb.make_distribution([6, 2, 2])
+        assert sb.bounds_for_k(d, 2, 2, "repeated").selection_mismatch is True
+        loose = sb.bounds_for_k(d, 2, 2, "repeated", tol=0.5)
+        assert loose.selection_mismatch is False
+        assert sb.transform_repeated(d, 2, 2, 0.5).selection_mismatch is False
+
     def test_bad_mode(self):
         d = sb.make_distribution([1, 1])
         with pytest.raises(sb.BadKError):

@@ -1,9 +1,12 @@
 import argparse
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import selbounds as sb
+import selbounds.cli as cli
 from helpers import mp_min_entropy
 from selbounds.cli import build_parser, main
 
@@ -12,6 +15,79 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SHARED_OPTIONS = {"--format", "--out", "--seed", "--tolerance", "--threads"}
+
+#: The shared options each command takes: only those it reads.
+COMMAND_OPTIONS = {
+    "bounds": {"--format", "--out", "--tolerance"},
+    "extrema": {"--format", "--out"},
+    "curve": {"--format", "--out"},
+    "transform": {"--format", "--out", "--tolerance"},
+    "sweep": {"--format", "--out", "--seed", "--tolerance", "--threads"},
+    "scenario": {"--format", "--out", "--seed", "--tolerance"},
+    "oracle-check": {"--format", "--out", "--seed"},
+}
+
+#: One small argv per handler branch; ``{tmp}`` holds _write_inputs' files.
+SMALL_ARGV = {
+    "bounds": [
+        ("bounds", "--n", "20", "--m", "6", "--entropy", "4"),
+        ("bounds", "--dist", "{tmp}/w.txt", "--m", "1", "--compare-flawed"),
+        ("bounds", "--dist", "{tmp}/w.txt", "--m", "2", "--k", "2", "--mode", "unique"),
+    ],
+    "extrema": [
+        ("extrema", "--n", "5", "--m", "2", "--pi", "0.3"),
+        ("extrema", "--n", "5", "--m", "2", "--pi", "0.3", "--which", "min"),
+    ],
+    "curve": [("curve", "--n", "5", "--m", "2", "--pi", "0.3", "--samples", "5")],
+    "transform": [
+        ("transform", "--dist", "{tmp}/w.txt", "--m", "2", "--k", "2", "--mode", "unique"),
+        ("transform", "--dist", "{tmp}/w.txt", "--m", "2", "--k", "2", "--mode", "repeated"),
+    ],
+    "sweep": [
+        ("sweep", "--paper-figs", "--scenarios", "1", "--format", "csv"),
+        ("sweep", "--config", "{tmp}/sweep.cfg", "--summary-out", "{tmp}/summary.json"),
+    ],
+    "scenario": [("scenario", "--config", "{tmp}/scenario.cfg")],
+    "oracle-check": [
+        ("oracle-check", "--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4",
+         "--restarts", "1", "--iters", "10"),
+        ("oracle-check", "--transform", "--n", "4", "--k", "2", "--trials", "2"),
+    ],
+}
+
+README_TABLE_HEAD = "| command | `--format` | `--out` | `--seed` | `--tolerance` | `--threads` |"
+
+
+def _subparsers():
+    (action,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def _write_inputs(tmp_path):
+    (tmp_path / "w.txt").write_text("0.5\n0.3\n0.2\n")
+    (tmp_path / "sweep.cfg").write_text("shapes = 6:2\nscenarios_per_shape = 2\nseed = 1\n")
+    (tmp_path / "scenario.cfg").write_text(
+        "kind = cache_single\nn = 10\nm = 3\nzipf_s = 1.0\ntrials = 10\nseed = 3\n"
+    )
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = set()
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        if name != "reads" and not name.startswith("__"):
+            super().__getattribute__("reads").add(name)
+        return value
 
 
 class TestBoundsCommand:
@@ -233,6 +309,68 @@ class TestOptions:
         }
         assert ignored == {"--threads"}
 
+    def test_shared_options_per_command(self):
+        assert {
+            name: {o for a in sub._actions for o in a.option_strings} & SHARED_OPTIONS
+            for name, sub in _subparsers().items()
+        } == COMMAND_OPTIONS
+        assert sum(map(len, COMMAND_OPTIONS.values())) == 22
+
+    @pytest.mark.parametrize(
+        "command, option",
+        sorted((c, o) for c, opts in COMMAND_OPTIONS.items() for o in SHARED_OPTIONS - opts),
+    )
+    def test_option_of_another_command_is_unrecognized(self, capsys, tmp_path, command, option):
+        _write_inputs(tmp_path)
+        dest = tmp_path / "out.txt"
+        argv = [a.format(tmp=tmp_path) for a in SMALL_ARGV[command][0]]
+        code, out, err = run_cli(capsys, *argv, option, "1", "--out", str(dest))
+        assert code == 1 and out == "" and not dest.exists()
+        assert err == f"error: unrecognized arguments: {option} 1\n"
+
+    def test_every_option_is_read(self, capsys, tmp_path, monkeypatch):
+        # each option a command accepts must change what it does: parse a
+        # small argv per handler branch and record which attributes the
+        # command reads; only sweep's --threads (in the benchmark's sweep
+        # argv) goes unread
+        _write_inputs(tmp_path)
+        unread = {}
+        for command, branches in SMALL_ARGV.items():
+            dests = {"command"} | {
+                a.dest for a in _subparsers()[command]._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+            for branch in branches:
+                args = build_parser().parse_args(
+                    [a.format(tmp=tmp_path) for a in branch], namespace=_ReadLog()
+                )
+                args.reads.clear()
+                parsed = SimpleNamespace(parse_args=lambda argv, args=args: args)
+                monkeypatch.setattr(cli, "build_parser", lambda parsed=parsed: parsed)
+                code, _, err = run_cli(capsys)
+                assert code == 0, (branch, err)
+                dests -= args.reads
+            if dests:
+                unread[command] = dests
+        assert unread == {"sweep": {"threads"}}
+
+    def test_readme_option_table_matches_parser(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index(README_TABLE_HEAD)
+        header = [cell.strip(" `") for cell in lines[start].strip("|").split("|")]
+        rows = {}
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            cells = [cell.strip(" `") for cell in line.strip("|").split("|")]
+            rows[cells[0]] = dict(zip(header[1:], cells[1:]))
+        assert {c: {o for o, v in row.items() if v != "no"} for c, row in rows.items()} == (
+            COMMAND_OPTIONS
+        )
+        assert {c: row["--format"] for c, row in rows.items()} == {
+            c: "json only" if c in cli._JSON_ONLY else "json, csv" for c in COMMAND_OPTIONS
+        }
+
 
 class TestExtremaCommand:
     def test_max_json(self, capsys):
@@ -306,6 +444,23 @@ class TestTransformCommand:
         assert first[0] == "0+1"
         assert float(first[1]) == pytest.approx(18 / 35, abs=1e-9)
         assert first[2] == "true"
+
+    @pytest.mark.parametrize("tolerance, mismatch", [(None, True), ("0.5", False)])
+    def test_bounds_k_agrees_on_selection_mismatch(self, capsys, tmp_path, tolerance, mismatch):
+        # top composites 0+0 and 0+1 hold 0.36 + 0.24 of the mass, but the
+        # selected objects' multisets hold 0.36 + 0.24 + 0.04: the flag
+        # depends on --tolerance, which bounds --k must pass to the transform
+        path = tmp_path / "d.txt"
+        path.write_text("6\n2\n2\n")
+        argv = ["--dist", str(path), "--m", "2", "--k", "2", "--mode", "repeated"]
+        if tolerance is not None:
+            argv += ["--tolerance", tolerance]
+        flags = []
+        for command in ("bounds", "transform"):
+            code, out, err = run_cli(capsys, command, *argv)
+            assert code == 0, err
+            flags.append(json.loads(out)["selection_mismatch"])
+        assert flags == [mismatch, mismatch]
 
 
 class TestSweepCommand:
@@ -452,6 +607,50 @@ class TestOracleCheckCommand:
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "oracle-check", "--min-entropy", "--n", "5")
         assert code == 1 and "--m" in err
+
+    def test_csv_rejected(self, capsys, tmp_path):
+        dest = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, "oracle-check", "--transform", "--n", "4", "--k", "2", "--trials", "2",
+            "--format", "csv", "--out", str(dest),
+        )
+        assert code == 1 and out == "" and not dest.exists()
+        assert err == "error: oracle-check reports are JSON only; use --format json\n"
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("--transform", "--n", "4", "--k", "2", "--trials", "-3"), "--trials"),
+            (("--transform", "--n", "4", "--k", "2", "--trials", "two"), "--trials"),
+            (("--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4", "--restarts", "0",
+              "--iters", "5"), "--restarts"),
+            (("--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4", "--restarts", "1",
+              "--iters", "-1"), "--iters"),
+        ],
+    )
+    def test_counts_below_one_are_one_error_line(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, "oracle-check", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: argument {option}: expected an integer >= 1")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("--transform", "--n", "4", "--k", "2", "--m", "2"), "--m"),
+            (("--transform", "--n", "4", "--k", "2", "--pi", "0.3"), "--pi"),
+            (("--transform", "--n", "4", "--k", "2", "--restarts", "5"), "--restarts"),
+            (("--transform", "--n", "4", "--k", "2", "--iters", "5"), "--iters"),
+            (("--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4", "--k", "2"), "--k"),
+            (("--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4", "--trials", "2"),
+             "--trials"),
+        ],
+    )
+    def test_other_mode_option_is_one_error_line(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, "oracle-check", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {option} does not apply to ")
+        assert len(err.splitlines()) == 1
 
 
 class TestDeterminism:

@@ -272,3 +272,9 @@ class TestOracleTransformCheck:
             sb.oracle_transform_check(8, 2, 1)
         with pytest.raises(sb.TooLargeError):
             sb.oracle_transform_check(4, 4, 1)
+
+    def test_sizes_below_one_are_bad_input(self):
+        with pytest.raises(sb.BadMError):
+            sb.oracle_transform_check(0, 2, 1)
+        with pytest.raises(sb.BadKError):
+            sb.oracle_transform_check(4, -1, 1)
