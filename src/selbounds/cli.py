@@ -143,8 +143,96 @@ def _id_cells(index: np.ndarray):
     return cells
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+@dataclasses.dataclass(frozen=True)
+class _Rows:
+    """A JSON array of objects, one per row of ``columns`` (key -> array)."""
+
+    columns: dict
+
+
+_INDENT = "  "
+
+
+def _json_cells(values: np.ndarray, level: int) -> list[str]:
+    """JSON text of each entry of a 1-D array, or of each row of a 2-D one.
+
+    A 2-D row, of at least one entry, is an array closed at indent
+    ``level``.  Floats read as ``float.__repr__``, and NaN and the
+    infinities as ``json`` writes them.
+    """
+    if values.ndim == 2:
+        pad = "\n" + _INDENT * (level + 1)
+        row = "[" + pad + ("," + pad).join(["%s"] * values.shape[1]) + "\n" + _INDENT * level + "]"
+        return list(map(row.__mod__, zip(*(_json_cells(c, level + 1) for c in values.T))))
+    if values.dtype == bool:
+        return [_FLAG_TEXT[f] for f in values.tolist()]
+    cells = list(map(repr, values.tolist()))
+    if values.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            cells[i] = json.dumps(float(values[i]))
+    return cells
+
+
+def _json_array(count: int, cells, level: int):
+    """Yield a JSON array of ``count`` items closed at indent ``level``.
+
+    ``cells`` maps a slice of item indices to the text of those items; the
+    items are formatted CSV_BLOCK_ROWS at a time, as they are written.
+    """
+    if not count:
+        yield "[]"
+        return
+    pad = "\n" + _INDENT * (level + 1)
+    opening = "["
+    for start in range(0, count, CSV_BLOCK_ROWS):
+        yield opening + pad + ("," + pad).join(cells(slice(start, start + CSV_BLOCK_ROWS)))
+        opening = ","
+    yield "\n" + _INDENT * level + "]"
+
+
+def _json_value(value, level: int):
+    """Yield the text of ``value`` as ``json.dumps(indent=2)`` writes it at ``level``.
+
+    Dict keys are strings.  A 1-D or 2-D array reads as the list of its
+    ``tolist()`` and ``_Rows`` as a list of one dict per row; both are
+    written in blocks.
+    """
+    if isinstance(value, _Rows):
+        columns = value.columns
+        pad = "\n" + _INDENT * (level + 2)
+        row = ("{" + ",".join(pad + json.dumps(key).replace("%", "%%") + ": %s" for key in columns)
+               + "\n" + _INDENT * (level + 1) + "}")
+
+        def cells(block):
+            fields = (_json_cells(column[block], level + 2) for column in columns.values())
+            return list(map(row.__mod__, zip(*fields)))
+
+        yield from _json_array(len(next(iter(columns.values()))), cells, level)
+    elif isinstance(value, np.ndarray):
+        yield from _json_array(len(value), lambda block: _json_cells(value[block], level + 1), level)
+    elif isinstance(value, (dict, list, tuple)):
+        if isinstance(value, dict):
+            brackets, items = "{}", ((json.dumps(k) + ": ", v) for k, v in value.items())
+        else:
+            brackets, items = "[]", (("", v) for v in value)
+        if not value:
+            yield brackets
+            return
+        pad = "\n" + _INDENT * (level + 1)
+        opening = brackets[0]
+        for prefix, item in items:
+            yield opening + pad + prefix
+            yield from _json_value(item, level + 1)
+            opening = ","
+        yield "\n" + _INDENT * level + brackets[1]
+    else:
+        yield json.dumps(value)
+
+
+def _json_blocks(doc):
+    """Yield ``json.dumps(doc, indent=2) + "\\n"`` in chunks, formatted as written."""
+    yield from _json_value(doc, 0)
+    yield "\n"
 
 
 def _tolerance(text: str) -> float:
@@ -326,7 +414,7 @@ def _reject(args, names: list[str], mode: str) -> None:
             raise _UsageError(f"--{name} does not apply to {mode}")
 
 
-def _cmd_bounds(args) -> tuple[str, str | None]:
+def _cmd_bounds(args) -> tuple[str | Iterable[str], str | None]:
     if args.dist is not None:
         if args.entropy is not None:
             raise _UsageError("--entropy conflicts with --dist (entropy is computed)")
@@ -355,7 +443,7 @@ def _cmd_bounds(args) -> tuple[str, str | None]:
             include_flawed=args.compare_flawed, tol=args.tolerance,
         )
     if args.format == "json":
-        return _json(report.to_dict()), None
+        return _json_blocks(report.to_dict()), None
     d = report.to_dict()
     cols = ["n", "m", "k", "mode", "entropy_bits"]
     vals = [str(d["n"]), str(d["m"]), str(d["k"]), d["mode"], format_number(d["entropy_bits"])]
@@ -379,7 +467,7 @@ def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
         dist = max_entropy_distribution(shape)
         bits = entropy(dist)
         meta = {"which": "max", "n": shape.n, "m": shape.m, "pi": shape.pi,
-                "entropy_bits": bits, "probs": dist.probs.tolist()}
+                "entropy_bits": bits, "probs": dist.probs}
     else:
         result = min_entropy(shape)
         dist = result.argmin_distribution
@@ -387,16 +475,13 @@ def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
         meta = {
             "which": "min", "n": shape.n, "m": shape.m, "pi": shape.pi,
             "entropy_bits": bits,
-            "probs": dist.probs.tolist(),
+            "probs": dist.probs,
             "index_bound": result.index_bound,
             "argmin_index": result.argmin_index,
-            "candidates": [
-                {"p_hat": c.p_hat, "entropy_bits": c.entropy_bits}
-                for c in result.candidates
-            ],
+            "candidates": _Rows(result.candidates.columns),
         }
     if args.format == "json":
-        return _json(meta), None
+        return _json_blocks(meta), None
     head = (
         f"# which={args.which} n={shape.n} m={shape.m} pi={format_number(shape.pi)} "
         f"entropy_bits={format_number(bits)}\n"
@@ -406,20 +491,19 @@ def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
 
 def _cmd_curve(args) -> tuple[str | Iterable[str], str | None]:
     shape = SystemShape(args.n, args.m, args.pi)
-    samples = piecewise_curve(shape, args.samples)
+    columns = piecewise_curve(shape, args.samples).columns
     if args.format == "json":
-        return _json({
-            "n": shape.n, "m": shape.m, "pi": shape.pi,
-            "samples": [dataclasses.asdict(s) for s in samples],
+        return _json_blocks({
+            "n": shape.n, "m": shape.m, "pi": shape.pi, "samples": _Rows(columns),
         }), None
-    columns = [
-        _number_cells([s.p_hat for s in samples]),
-        _number_cells([s.entropy_bits for s in samples]),
-        _int_cells([s.segment_index for s in samples]),
-        _flag_cells([s.is_junction for s in samples]),
+    cells = [
+        _number_cells(columns["p_hat"]),
+        _number_cells(columns["entropy_bits"]),
+        _int_cells(columns["segment_index"]),
+        _flag_cells(columns["is_junction"]),
     ]
     head = "p_hat,entropy_bits,segment_index,is_junction\n"
-    return _csv_blocks(head, len(samples), columns), None
+    return _csv_blocks(head, len(columns["p_hat"]), cells), None
 
 
 def _cmd_transform(args) -> tuple[str | Iterable[str], str | None]:
@@ -433,15 +517,14 @@ def _cmd_transform(args) -> tuple[str | Iterable[str], str | None]:
         "k": ts.k, "entropy_bits": entropy(ts.dist),
     }
     if args.format == "json":
-        return _json({
+        return _json_blocks({
             **header,
             "selection_mismatch": ts.selection_mismatch,
-            "composites": [
-                {"ids": ids, "probability": p, "in_selected_set": flag}
-                for ids, p, flag in zip(
-                    ts.composite_index.tolist(), ts.dist.probs.tolist(), ts.in_selected.tolist()
-                )
-            ],
+            "composites": _Rows({
+                "ids": ts.composite_index,
+                "probability": ts.dist.probs,
+                "in_selected_set": ts.in_selected,
+            }),
         }), None
     head = f"# {json.dumps(header)}\ncomposite_ids,probability,in_selected_set\n"
     columns = [
@@ -452,7 +535,7 @@ def _cmd_transform(args) -> tuple[str | Iterable[str], str | None]:
     return _csv_blocks(head, ts.n_prime, columns), None
 
 
-def _cmd_sweep(args) -> tuple[str, str | None]:
+def _cmd_sweep(args) -> tuple[str | Iterable[str], str | None]:
     if args.paper_figs == (args.config is not None):
         raise _UsageError("exactly one of --paper-figs / --config is required")
     if args.paper_figs:
@@ -472,20 +555,20 @@ def _cmd_sweep(args) -> tuple[str, str | None]:
         Path(args.summary_out).write_text(summary_text, encoding="utf-8")
     if args.format == "json":
         payload = {"records": [dataclasses.asdict(r) for r in records], "summary": summary}
-        return _json(payload), None
+        return _json_blocks(payload), None
     return records_to_csv(records), summary_text
 
 
-def _cmd_scenario(args) -> tuple[str, str | None]:
+def _cmd_scenario(args) -> tuple[str | Iterable[str], str | None]:
     path = Path(args.config)
     cfg = parse_scenario_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_scenario(cfg, tol=args.tolerance)
-    return _json(report.to_dict()), None
+    return _json_blocks(report.to_dict()), None
 
 
-def _cmd_oracle_check(args) -> tuple[str, str | None]:
+def _cmd_oracle_check(args) -> tuple[str | Iterable[str], str | None]:
     seed = 0 if args.seed is None else args.seed
     if args.check == "min_entropy":
         _reject(args, ["k", "trials"], "--min-entropy")
@@ -496,7 +579,7 @@ def _cmd_oracle_check(args) -> tuple[str, str | None]:
         rng = derive_rng(seed, 1)
         found = oracle_min_entropy(shape, restarts, iters, rng)
         exact = min_entropy(shape).min_entropy_bits
-        return _json({
+        return _json_blocks({
             "check": "min_entropy", "n": shape.n, "m": shape.m, "pi": shape.pi,
             "restarts": restarts, "iters": iters, "seed": seed,
             "oracle_entropy_bits": found,
@@ -509,7 +592,7 @@ def _cmd_oracle_check(args) -> tuple[str, str | None]:
     trials = 20 if args.trials is None else args.trials
     report = oracle_transform_check(args.n, args.k, trials, rng)
     report = {"check": "transform", "seed": seed, **report}
-    return _json(report), None
+    return _json_blocks(report), None
 
 
 _COMMANDS = {

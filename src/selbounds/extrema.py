@@ -65,6 +65,7 @@ The number of interior junctions is
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +233,20 @@ def _candidate_entropies(m: int, pi, p_hats) -> np.ndarray:
     return (m - 1 + copies) * _fe(p) + _fe((1.0 - pi) - (m - 1) * p) + _fe(rem)
 
 
+#: Points per call of the entropy kernel in :func:`min_entropy` and
+#: :func:`piecewise_curve`: its dozen temporaries then take a few MB at any n.
+_KERNEL_BLOCK = 65_536
+
+
+def _blockwise(kernel, points: np.ndarray, dtype) -> np.ndarray:
+    """``kernel(points)`` for an elementwise kernel, computed in blocks."""
+    out = np.empty(points.shape, dtype)
+    for start in range(0, points.size, _KERNEL_BLOCK):
+        block = slice(start, start + _KERNEL_BLOCK)
+        out[block] = kernel(points[block])
+    return out
+
+
 def assemble_min_candidate(
     shape: SystemShape, p_hat: float, tol: float = DEFAULT_TOLERANCE
 ) -> SortedDistribution:
@@ -264,6 +279,42 @@ def assemble_min_candidate(
         return SortedDistribution(probs)
 
 
+class ColumnRows(Sequence):
+    """Read-only sequence of ``row`` objects backed by equal-length column arrays.
+
+    Item ``i`` is ``row(**fixed, **{name: column[i]})`` with each cell as a
+    Python scalar, built on access: ``n`` candidates or curve points cost
+    a few ``n``-length arrays, not ``n`` objects.  :attr:`columns` maps the
+    field names to the arrays in field order, for callers that read whole
+    columns; the arrays are made read-only.  Two sequences are equal when
+    their items are.
+    """
+
+    def __init__(self, row, columns: dict[str, np.ndarray], **fixed) -> None:
+        for column in columns.values():
+            column.setflags(write=False)
+        self.row = row
+        self.columns = columns
+        self.fixed = fixed
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        cells = {name: column[index].item() for name, column in self.columns.items()}
+        return self.row(**cells, **self.fixed)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class CandidateEvaluation:
     """One candidate p_hat of ``shape`` with its closed-form entropy.
@@ -292,11 +343,15 @@ class CandidateEvaluation:
 
 @dataclass(frozen=True)
 class MinEntropyResult:
-    """Outcome of the discrete minimum-entropy search."""
+    """Outcome of the discrete minimum-entropy search.
+
+    ``candidates`` holds the searched ``p_hat`` values and their entropies
+    as two columns, ``p_hat`` and ``entropy_bits``.
+    """
 
     shape: SystemShape
     index_bound: int
-    candidates: tuple[CandidateEvaluation, ...]
+    candidates: ColumnRows
     argmin_index: int
     min_entropy_bits: float
 
@@ -317,20 +372,18 @@ def min_entropy(shape: SystemShape) -> MinEntropyResult:
     n, m, pi = shape.n, shape.m, shape.pi
     y = _index_bound(n, m, pi)
     if pi < REMAINDER_SNAP:
-        cand = CandidateEvaluation(0.0, 0.0, shape)
-        return MinEntropyResult(shape, y, (cand,), 0, 0.0)
-    if m == 1:
+        p_hats = bits = np.zeros(1)
+    elif m == 1:
         # The entropy of the entries min_entropy_m1 builds, so the reported
         # bits always describe the reported distribution.
         step, copies, remainder = _staircase(n, pi)
-        bits = float(copies * _fe(step) + _fe(remainder))
-        cand = CandidateEvaluation(step, bits, shape)
-        return MinEntropyResult(shape, y, (cand,), 0, bits)
-    p_hats = candidate_set(shape)
-    bits = _candidate_entropies(m, pi, p_hats)
+        p_hats, bits = np.array([step]), np.array([copies * _fe(step) + _fe(remainder)])
+    else:
+        p_hats = candidate_set(shape)
+        bits = _blockwise(lambda p: _candidate_entropies(m, pi, p), p_hats, float)
     argmin = int(np.argmin(bits))
-    candidates = tuple(
-        CandidateEvaluation(float(p), float(b), shape) for p, b in zip(p_hats, bits)
+    candidates = ColumnRows(
+        CandidateEvaluation, {"p_hat": p_hats, "entropy_bits": bits}, shape=shape
     )
     return MinEntropyResult(shape, y, candidates, argmin, float(bits[argmin]))
 
@@ -445,7 +498,7 @@ class CurveSample:
     is_junction: bool
 
 
-def piecewise_curve(shape: SystemShape, samples: int) -> list[CurveSample]:
+def piecewise_curve(shape: SystemShape, samples: int) -> ColumnRows:
     """Sample the piecewise-concave curve H(p_hat) over its full interval.
 
     Emits ``samples`` uniform points merged with the candidate junctions
@@ -453,7 +506,8 @@ def piecewise_curve(shape: SystemShape, samples: int) -> list[CurveSample]:
     closed-form kernel and tail split as :func:`min_entropy`, so branch
     bookkeeping can never disagree with the construction.
     ``segment_index`` counts how many full tail slots have been given up
-    relative to the uniform-tail left endpoint.
+    relative to the uniform-tail left endpoint.  The samples are
+    returned as the four columns of :class:`CurveSample`.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     if m < 2:
@@ -466,16 +520,22 @@ def piecewise_curve(shape: SystemShape, samples: int) -> list[CurveSample]:
     lo = pi / (n - m)
     hi = (1.0 - pi) / m
     grid = np.linspace(lo, hi, samples)
-    keep = np.abs(grid[:, None] - junctions[None, :]).min(axis=1) > 1e-12
-    points = np.concatenate([junctions, grid[keep]])
-    flags = np.concatenate(
-        [np.ones(junctions.size, bool), np.zeros(int(keep.sum()), bool)]
-    )
-    order = np.argsort(points, kind="stable")
-    points = np.clip(points[order], lo, hi)
-    copies, _ = _tail_split(pi, points)
-    bits = _candidate_entropies(m, pi, points)
-    return [
-        CurveSample(float(p), float(b), (n - m) - int(c), bool(f))
-        for p, b, c, f in zip(points, bits, copies, flags[order])
-    ]
+    # The junctions ascend, so the nearest to a grid point is one of the
+    # two around it; its distance is the same subtraction a full scan makes.
+    at = np.searchsorted(junctions, grid)
+    right = np.minimum(at, junctions.size - 1)
+    left = np.maximum(right - 1, 0)
+    gap = np.minimum(np.abs(grid - junctions[left]), np.abs(grid - junctions[right]))
+    keep = gap > 1e-12
+    # A kept grid point equals no junction, so inserting each before the
+    # first junction above it sorts the union.
+    at, grid = at[keep], grid[keep]
+    points = np.clip(np.insert(junctions, at, grid), lo, hi)
+    is_junction = np.insert(np.ones(junctions.size, bool), at, False)
+    del junctions  # freed before the kernels run
+    return ColumnRows(CurveSample, {
+        "p_hat": points,
+        "entropy_bits": _blockwise(lambda p: _candidate_entropies(m, pi, p), points, float),
+        "segment_index": _blockwise(lambda p: (n - m) - _tail_split(pi, p)[0], points, np.int64),
+        "is_junction": is_junction,
+    })

@@ -272,6 +272,22 @@ def run_sweep(
     return records, summarize(records)
 
 
+def _median(values: list[float]) -> float:
+    """``np.median`` of a non-empty list: the middle value, or the mean of the middle pair.
+
+    Sorting in Python keeps a sweep from importing ``numpy.ma``, which
+    ``np.median`` loads.  As there, a NaN anywhere makes the median NaN,
+    and the sum starts from 0.0, so a -0.0 median reads 0.0.
+    """
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(0.0 + ordered[mid])
+    return float((0.0 + ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _gap_block(gaps_by_regime: dict[str, list[float]]) -> dict:
     block = {}
     for regime in ("m_lt_half", "m_ge_half"):
@@ -280,7 +296,7 @@ def _gap_block(gaps_by_regime: dict[str, list[float]]) -> dict:
         block[regime] = {
             "records": len(gaps),
             "mean": float(np.mean(finite)) if finite else None,
-            "median": float(np.median(finite)) if finite else None,
+            "median": _median(finite) if finite else None,
         }
     return block
 
@@ -319,9 +335,9 @@ def summarize(records: list[SweepRecord]) -> dict:
                 "m": m,
                 "regime": "m_ge_half" if 2 * m >= n else "m_lt_half",
                 "mean_gap_analytic": float(np.mean(bucket["analytic"])),
-                "median_gap_analytic": float(np.median(bucket["analytic"])),
+                "median_gap_analytic": _median(bucket["analytic"]),
                 "mean_gap_tight": float(np.mean(bucket["tight"])),
-                "median_gap_tight": float(np.median(bucket["tight"])),
+                "median_gap_tight": _median(bucket["tight"]),
             }
         )
     return {

@@ -468,3 +468,102 @@ class TestPiecewiseCurve:
             sb.piecewise_curve(sb.SystemShape(5, 2, 0.0), 10)
         with pytest.raises(sb.BadConfigError):
             sb.piecewise_curve(sb.SystemShape(15, 5, 0.4), 1)
+
+
+def reference_candidates(shape):
+    """The candidate tuple :func:`min_entropy` built before it kept columns."""
+    from selbounds.extrema import _candidate_entropies, _staircase
+
+    n, m, pi = shape.n, shape.m, shape.pi
+    if pi < REMAINDER_SNAP:
+        return (sb.CandidateEvaluation(0.0, 0.0, shape),)
+    if m == 1:
+        step, copies, remainder = _staircase(n, pi)
+        return (sb.CandidateEvaluation(step, float(copies * _fe(step) + _fe(remainder)), shape),)
+    p_hats = sb.candidate_set(shape)
+    bits = _candidate_entropies(m, pi, p_hats)
+    return tuple(sb.CandidateEvaluation(float(p), float(b), shape) for p, b in zip(p_hats, bits))
+
+
+def reference_curve(shape, samples):
+    """:func:`piecewise_curve` as a distance matrix and one dataclass per point."""
+    from selbounds.extrema import _candidate_entropies, _tail_split
+
+    n, m, pi = shape.n, shape.m, shape.pi
+    junctions = sb.candidate_set(shape)
+    lo, hi = pi / (n - m), (1.0 - pi) / m
+    grid = np.linspace(lo, hi, samples)
+    keep = np.abs(grid[:, None] - junctions[None, :]).min(axis=1) > 1e-12
+    points = np.concatenate([junctions, grid[keep]])
+    flags = np.concatenate([np.ones(junctions.size, bool), np.zeros(int(keep.sum()), bool)])
+    order = np.argsort(points, kind="stable")
+    points = np.clip(points[order], lo, hi)
+    copies, _ = _tail_split(pi, points)
+    bits = _candidate_entropies(m, pi, points)
+    return [
+        sb.CurveSample(float(p), float(b), (n - m) - int(c), bool(f))
+        for p, b, c, f in zip(points, bits, copies, flags[order])
+    ]
+
+
+def _exact_fields(row):
+    """A row's fields with their Python types, so 1 == 1.0 == True cannot pass."""
+    return [(type(v), v) for v in vars(row).values()]
+
+
+class TestColumnBackedResults:
+    SHAPES = [(15, 5, 0.4), (4, 2, 0.5), (200, 20, 0.3), (13, 12, 1 / 13), (12, 1, 0.3),
+              (12, 4, 0.0), (8, 8, 0.0), (50, 3, 1e-13), (5000, 40, 2e-6)]
+
+    @pytest.mark.parametrize("n, m, pi", SHAPES)
+    def test_candidates_equal_the_dataclass_tuple(self, n, m, pi):
+        shape = sb.SystemShape(n, m, pi)
+        res, want = sb.min_entropy(shape), reference_candidates(shape)
+        assert len(res.candidates) == len(want)
+        assert [_exact_fields(c) for c in res.candidates] == [_exact_fields(c) for c in want]
+        for i in (0, len(want) // 2, -1):
+            assert res.candidates[i] == want[i]
+            assert np.array_equal(res.candidates[i].distribution.probs, want[i].distribution.probs)
+        assert list(res.candidates[1:3]) == list(want[1:3])
+        best = want[res.argmin_index]
+        assert res.min_entropy_bits == best.entropy_bits == min(c.entropy_bits for c in want)
+        assert np.array_equal(res.argmin_distribution.probs, best.distribution.probs)
+        with pytest.raises(IndexError):
+            res.candidates[len(want)]
+
+    @pytest.mark.parametrize("n, m, pi", [s for s in SHAPES if s[1] >= 2 and s[2] > 0])
+    @pytest.mark.parametrize("samples", [2, 25, 200])
+    def test_curve_equals_the_dataclass_list(self, n, m, pi, samples):
+        shape = sb.SystemShape(n, m, pi)
+        got, want = sb.piecewise_curve(shape, samples), reference_curve(shape, samples)
+        assert len(got) == len(want)
+        assert [_exact_fields(s) for s in got] == [_exact_fields(s) for s in want]
+        assert got == want and got[-1] == want[-1]
+
+    def test_results_compare_and_hash_by_value(self):
+        shape = sb.SystemShape(200, 20, 0.3)
+        a, b = sb.min_entropy(shape), sb.min_entropy(shape)
+        assert a == b and hash(a) == hash(b)
+        assert a.candidates == reference_candidates(shape)
+        assert a != sb.min_entropy(sb.SystemShape(200, 20, 0.31))
+
+    def test_columns_are_read_only(self):
+        res = sb.min_entropy(sb.SystemShape(15, 5, 0.4))
+        with pytest.raises(ValueError):
+            res.candidates.columns["p_hat"][0] = 1.0
+
+    @pytest.mark.parametrize("build", [
+        lambda shape: sb.piecewise_curve(shape, 200),
+        sb.min_entropy,
+    ], ids=["piecewise_curve", "min_entropy"])
+    def test_memory_is_linear_in_n(self, build):
+        # One float per candidate or point costs 8 B x n; the distance
+        # matrix of 200 samples by ~n junctions alone took 3,100 B x n.
+        n = 50_000
+        tracemalloc.start()
+        try:
+            build(sb.SystemShape(n, 1_000, 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * n, peak

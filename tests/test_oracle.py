@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import selbounds as sb
 import selbounds.oracle as oracle_mod
@@ -217,6 +219,20 @@ class TestSweep:
         assert len(nan_rows) == 1 and nan_rows[0].violation
         text = sb.records_to_csv(records)
         assert "nan" in text
+
+
+_EDGE_GAPS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308, -1.7e308]
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_GAPS)), min_size=1, max_size=9))
+@example([-0.0, -0.0])
+@example([-0.0])
+@example([math.inf, -math.inf])
+@settings(max_examples=500, deadline=None)
+def test_median_matches_numpy(values):
+    with np.errstate(all="ignore"):
+        want = float(np.median(values))
+    assert repr(oracle_mod._median(values)) == repr(want)
 
 
 class TestOracleMinEntropy:

@@ -57,7 +57,7 @@ def _python(*args):
 
 
 #: Runs ``cli.main`` on argv (or, with no argv, only ``build_parser``) and
-#: prints the exit code and the loaded ``selbounds`` submodules as JSON.
+#: prints the exit code and the loaded modules as JSON.
 _PROBE = """
 import contextlib, io, json, sys
 import selbounds.cli as cli
@@ -70,15 +70,19 @@ if len(sys.argv) > 1:
             code = exc.code
 else:
     cli.build_parser()
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("selbounds."))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def _loaded(*argv):
+def _modules(*argv):
     done = _python("-c", _PROBE, *argv)
     assert done.returncode == 0, done.stderr.decode()
-    code, modules = json.loads(done.stdout)
-    return code, {m.split(".", 1)[1] for m in modules}
+    return json.loads(done.stdout)
+
+
+def _loaded(*argv):
+    code, modules = _modules(*argv)
+    return code, {m.split(".", 1)[1] for m in modules if m.startswith("selbounds.")}
 
 
 @pytest.fixture
@@ -140,6 +144,12 @@ class TestModuleSets:
         code, loaded = _loaded(*argv)
         assert code == 0
         assert loaded & UNLOADED[command] == set()
+
+    def test_sweep_leaves_numpy_ma_unloaded(self):
+        # np.median imports numpy.ma, 16-18 ms of every sweep process
+        code, modules = _modules(*COMMANDS["sweep"])
+        assert code == 0
+        assert "numpy.ma" not in modules
 
 
 class TestEntryPath:
