@@ -37,8 +37,8 @@ from .errors import (
 #: Default tolerance for normalization / ordering / bound comparisons.
 DEFAULT_TOLERANCE = 1e-9
 
-#: Probabilities below this are treated as exact zeros when computing
-#: entropy, so float dust never contributes -x*log2(x) noise.
+#: Probabilities at or below this count as zeros in :func:`entropy_terms`, the
+#: one place the floor touches entropy, so float dust adds no -x*log2(x) noise.
 ZERO_FLOOR = 1e-15
 
 _DEFAULT_MAX_STATES = 10_000_000
@@ -73,15 +73,29 @@ def validate_counts(n: int, m: int) -> None:
         raise BadMError(f"m must satisfy 1 <= m <= n={n}, got {m}")
 
 
-def entropy_bits(probs: np.ndarray) -> float:
-    """Base-2 entropy of a probability vector, assumed already valid."""
-    p = np.asarray(probs, dtype=float)
-    p = p[p > ZERO_FLOOR]
-    if p.size == 0:
-        return 0.0
-    # 0.0 first: max keeps the first of equal values, so a one-point
-    # distribution's -0.0 sum comes back as +0.0
-    return float(max(0.0, -(p * np.log2(p)).sum()))
+def entropy_terms(x) -> np.ndarray:
+    """Elementwise ``-x*log2(x)``, +0.0 at or below :data:`ZERO_FLOOR`, for negatives and NaN."""
+    x = np.asarray(x, dtype=float)
+    live = x > ZERO_FLOOR
+    out = np.zeros(x.shape)  # filled in place: the mask is the only temporary
+    np.log2(x, out=out, where=live)
+    np.multiply(out, x, out=out, where=live)
+    return np.negative(out, out=out, where=live)
+
+
+def _normalized(weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row of a 2-D block of raw weights over its total, and the rows passing each check.
+
+    Checks: finite, non-negative, a positive total.  A row whose total overflows is first
+    scaled by the power of two 2**-64, so it normalizes as ``make_distribution(w * 2**-64)``.
+    """
+    with np.errstate(all="ignore"):  # a failed row is flagged, never raised
+        totals = weights.sum(axis=1)
+        if not np.isfinite(totals).all():
+            weights = weights * np.where(np.isfinite(totals), 1.0, 2.0**-64)[:, None]
+            totals = weights.sum(axis=1)
+        probs = weights / totals[:, None]
+    return probs, np.isfinite(weights).all(axis=1), ~(weights < 0).any(axis=1), totals > 0.0
 
 
 @dataclass(frozen=True)
@@ -165,61 +179,52 @@ def make_distribution(raw) -> SortedDistribution:
     weights = np.asarray(raw, dtype=float)
     if weights.ndim != 1 or weights.size < 1:
         raise InvalidEntryError("raw weights must be a non-empty 1-D vector")
-    if not np.isfinite(weights).all():
+    probs, finite, non_negative, positive = _normalized(weights[None])
+    if not finite[0]:
         raise InvalidEntryError("raw weights contain NaN or infinite entries")
-    if (weights < 0).any():
+    if not non_negative[0]:
         raise InvalidEntryError("raw weights contain negative entries")
-    total = float(weights.sum())
-    if total <= 0.0:
+    if not positive[0]:
         raise AllZeroError("raw weights carry no positive mass")
-    probs = weights / total
-    order = np.argsort(-probs, kind="stable")
-    return SortedDistribution(probs[order], order)
+    order = np.argsort(-probs[0], kind="stable")
+    return SortedDistribution(probs[0][order], order)
 
 
 def sorted_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`make_distribution` of each row of a 2-D block of raw weights.
 
     Returns the rows normalized and sorted in non-increasing order, and a
-    mask of the rows that pass every check :func:`make_distribution` and
-    :class:`SortedDistribution` apply: finite and non-negative weights
-    (hence finite, non-negative probabilities), a positive total, a
-    normalized sum within :data:`DEFAULT_TOLERANCE` of 1 and non-increasing
-    order.  The size cap is the caller's to check, once per block.
-
-    Each row is reduced as the 1-D call reduces it, so a row that passes
-    holds the bits ``make_distribution(row).probs`` holds, up to the order
-    of ``0.0`` and ``-0.0`` entries (the sort is not stable), which no sum
-    and no check can see; values in a row that fails mean nothing.
+    mask of the rows that pass every check of :func:`make_distribution` and
+    :class:`SortedDistribution`; the caller checks the size cap once per
+    block.  A passing row holds the bits of ``make_distribution(row).probs``
+    up to the order of ``0.0`` and ``-0.0`` entries (the sort is not
+    stable); a failing row's values mean nothing.
     """
+    probs, *passed = _normalized(weights)
+    probs = -np.sort(-probs, axis=1)
     with np.errstate(all="ignore"):  # a failed row is flagged, never raised
-        ok = np.isfinite(weights).all(axis=1) & ~(weights < 0).any(axis=1)
-        totals = weights.sum(axis=1)
-        ok &= totals > 0.0
-        probs = -np.sort(-(weights / totals[:, None]), axis=1)
-        ok &= np.abs(probs.sum(axis=1) - 1.0) <= DEFAULT_TOLERANCE
-        ok &= ~(np.diff(probs, axis=1) > 1e-12).any(axis=1)
-    return probs, ok
+        passed.append(np.abs(probs.sum(axis=1) - 1.0) <= DEFAULT_TOLERANCE)
+        passed.append(~(np.diff(probs, axis=1) > 1e-12).any(axis=1))
+    return probs, np.logical_and.reduce(passed)
 
 
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
-    """:func:`entropy_bits` of each row of a block sorted as :func:`sorted_rows` sorts.
+    """Base-2 entropy of each row of a 2-D block of valid probabilities.
 
-    Entries at or below :data:`ZERO_FLOOR` end a sorted row; a row holding
-    any is summed alone over the rest, as ``entropy_bits`` sums them.
+    Each row sums its :func:`entropy_terms`.  A row with entries at or below
+    :data:`ZERO_FLOOR` sums its other entries alone, which groups the
+    pairwise sum as a sum of just them does.  A -0.0 sum comes back +0.0.
     """
-    full = (probs > ZERO_FLOOR).all(axis=1)
-    kept = probs[full]
-    sums = -(kept * np.log2(kept)).sum(axis=1)
-    out = np.empty(probs.shape[0])
-    out[full] = np.where(sums > 0.0, sums, 0.0)  # as max(0.0, sum)
-    out[~full] = [entropy_bits(row) for row in probs[~full]]
-    return out
+    terms = entropy_terms(probs)
+    sums = terms.sum(axis=1)
+    for row in np.flatnonzero(~(probs > ZERO_FLOOR).all(axis=1)):
+        sums[row] = terms[row][probs[row] > ZERO_FLOOR].sum()
+    return np.where(sums > 0.0, sums, 0.0)
 
 
 def entropy(dist: SortedDistribution) -> float:
-    """Base-2 entropy in bits; zero entries contribute exactly zero."""
-    return entropy_bits(dist.probs)
+    """Base-2 entropy in bits; entries at or below :data:`ZERO_FLOOR` contribute zero."""
+    return float(entropy_rows(dist.probs[None])[0])
 
 
 def tail_probability(dist: SortedDistribution, m: int) -> float:

@@ -76,6 +76,7 @@ from .core import (
     SortedDistribution,
     SystemShape,
     built_internally,
+    entropy_terms,
 )
 from .errors import BadConfigError, BadMError, BadPHatError, InfeasibleError
 
@@ -211,13 +212,6 @@ def _tail_split(pi, p_hat):
     return copies, remainder
 
 
-def _fe(x: np.ndarray) -> np.ndarray:
-    """Elementwise -x*log2(x) with 0*log2(0) = 0 and negatives clipped."""
-    x = np.maximum(x, 0.0)
-    safe = np.where(x > ZERO_FLOOR, x, 1.0)
-    return np.where(x > ZERO_FLOOR, -x * np.log2(safe), 0.0)
-
-
 def _candidate_entropies(m: int, pi, p_hats) -> np.ndarray:
     """Entropy in bits of each distribution :func:`assemble_min_candidate` builds.
 
@@ -230,7 +224,8 @@ def _candidate_entropies(m: int, pi, p_hats) -> np.ndarray:
     copies, rem = _tail_split(pi, np.where(live, p, 1.0))
     copies = np.where(live, copies, 0)
     rem = np.where(live, rem, 0.0)
-    return (m - 1 + copies) * _fe(p) + _fe((1.0 - pi) - (m - 1) * p) + _fe(rem)
+    head = entropy_terms((1.0 - pi) - (m - 1) * p)
+    return (m - 1 + copies) * entropy_terms(p) + head + entropy_terms(rem)
 
 
 #: Points per call of the entropy kernel in :func:`min_entropy` and
@@ -377,7 +372,8 @@ def min_entropy(shape: SystemShape) -> MinEntropyResult:
         # The entropy of the entries min_entropy_m1 builds, so the reported
         # bits always describe the reported distribution.
         step, copies, remainder = _staircase(n, pi)
-        p_hats, bits = np.array([step]), np.array([copies * _fe(step) + _fe(remainder)])
+        bits = np.array([copies * entropy_terms(step) + entropy_terms(remainder)])
+        p_hats = np.array([step])
     else:
         p_hats = candidate_set(shape)
         bits = _blockwise(lambda p: _candidate_entropies(m, pi, p), p_hats, float)
@@ -477,7 +473,7 @@ def min_entropy_values(n, m, pis: np.ndarray) -> np.ndarray:
     cap = hi + REMAINDER_SNAP
     slots = _junction_candidates(n, m, pa, cap)
     ph = pa / slots
-    vals = (m - 1 + slots) * _fe(ph) + _fe((1.0 - pa) - (m - 1) * ph)
+    vals = (m - 1 + slots) * entropy_terms(ph) + entropy_terms((1.0 - pa) - (m - 1) * ph)
     vals = np.where(ph <= cap, vals, np.inf)
     out[active] = np.maximum(np.minimum(best, vals.min(axis=0)), 0.0)
     return out

@@ -28,7 +28,6 @@ from .core import (
     SortedDistribution,
     SystemShape,
     built_internally,
-    entropy_bits,
     entropy_rows,
     env_cap,
     format_number,
@@ -472,7 +471,7 @@ def oracle_min_entropy(
             i, j, delta = moves[int(rng.integers(len(moves)))]
             probs[i] += delta
             probs[j] -= delta
-        best = min(best, entropy_bits(probs))
+        best = min(best, float(entropy_rows(probs[None])[0]))
     return best
 
 

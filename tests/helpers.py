@@ -18,8 +18,8 @@ from mpmath import mp, mpf, log
 
 import selbounds.oracle as oracle
 from selbounds.bounds import TightInverter
-from selbounds.core import entropy, tail_probability
-from selbounds.extrema import REMAINDER_SNAP, _candidate_entropies, _fe
+from selbounds.core import entropy, entropy_terms, tail_probability
+from selbounds.extrema import REMAINDER_SNAP, _candidate_entropies
 
 mp.dps = 50
 
@@ -113,7 +113,7 @@ def scan_min_entropy_values(n, m, pis) -> np.ndarray:
         chunk = pa[start : start + block, None]
         ph_j = chunk / slots[None, :]
         head_rest = (1.0 - chunk) - (m - 1) * ph_j
-        vals = (n - js)[None, :] * _fe(ph_j) + _fe(head_rest)
+        vals = (n - js)[None, :] * entropy_terms(ph_j) + entropy_terms(head_rest)
         hi = (1.0 - chunk) / m
         vals = np.where(ph_j <= hi + REMAINDER_SNAP, vals, np.inf)
         best[start : start + block] = np.minimum(

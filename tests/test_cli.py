@@ -61,6 +61,165 @@ SMALL_ARGV = {
 README_TABLE_HEAD = "| command | `--format` | `--out` | `--seed` | `--tolerance` | `--threads` |"
 
 
+#: ``sweep --paper-figs --seed 42 --scenarios 2 --format csv``, byte for byte.
+PAPER_FIGS_SEED_42_CSV = """\
+scenario_id,n,m,entropy_bits,pi_observed,pi_lb_analytic,pi_ub_analytic,pi_lb_tight,pi_ub_tight,violation
+0,20,6,3.53344496909,0.271632034289,0,0.7,0.194480559504,0.465906641911,false
+1,20,6,3.75767439895,0.366603534203,0.141290059736,0.7,0.27045235523,0.545460042072,false
+0,30,20,4.56756773849,0.120276381719,0,0.320981959432,0.0528839172272,0.271050137945,false
+1,30,20,4.57524422221,0.0908233068124,0,0.321521417833,0.0553381939326,0.271941539377,false
+0,50,15,5.01200562532,0.326973433286,0.0859912315173,0.649341485326,0.245834443821,0.533892139817,false
+1,50,15,5.08833536526,0.366426055931,0.148434141512,0.659230553778,0.273757799044,0.558862759574,false
+0,100,60,6.12469095944,0.104166946059,0,0.37246781676,0.0397270194186,0.332091760181,false
+1,100,60,6.0723020148,0.0974557530602,0,0.369281828118,0.0274567336619,0.327366398746,false
+0,200,40,7.05507213682,0.481651595988,0.366572020967,0.74208876615,0.385615999433,0.698815923986,false
+1,200,40,7.05596800698,0.490597608155,0.367019956048,0.742182998381,0.38595141141,0.699274302623,false
+0,500,300,8.37579140126,0.0989023034709,0,0.374426878359,0.0235113585524,0.350031482178,false
+1,500,300,8.38280661129,0.0985759317596,0,0.374740482539,0.0249895871504,0.350487186186,false
+0,1000,400,9.30115233723,0.221477700731,0,0.560545715264,0.137255806014,0.52879731087,false
+1,1000,400,9.35768189875,0.235705318333,0,0.563952540822,0.155311519768,0.533628561733,false
+0,1500,1000,9.93491025661,0.0621859892332,0,0.314086391254,0,0.298899734185,false
+1,1500,1000,9.9619681508,0.0657755541742,0,0.314941810792,0,0.300117278519,false
+"""
+
+#: ``sweep --config`` on SPIKY_SWEEP_CONFIG, byte for byte.  Every row
+#: holds entries at or below the 1e-15 entropy floor, and JSON prints each
+#: float in full, so a changed bit in a row's entropy shows.
+SPIKY_SWEEP_CONFIG = (
+    "shapes = 200:40, 1500:1000\nscenarios_per_shape = 3\nseed = 42\n"
+    "sampler = spiky\nalpha = 0.05\n"
+)
+SPIKY_SWEEP_JSON = """\
+{
+  "records": [
+    {
+      "scenario_id": 0,
+      "n": 200,
+      "m": 40,
+      "entropy_bits": 3.49239259496014,
+      "pi_observed": 0.00211938439427002,
+      "pi_lb_analytic": 0.0,
+      "pi_ub_analytic": 0.3673478118217759,
+      "pi_lb_tight": 0.0,
+      "pi_ub_tight": 0.27066833324788614,
+      "violation": false
+    },
+    {
+      "scenario_id": 1,
+      "n": 200,
+      "m": 40,
+      "entropy_bits": 3.2728697098173134,
+      "pi_observed": 0.0009494777930241473,
+      "pi_lb_analytic": 0.0,
+      "pi_ub_analytic": 0.3850218094901594,
+      "pi_lb_tight": 0.0,
+      "pi_ub_tight": 0.25037569463456755,
+      "violation": false
+    },
+    {
+      "scenario_id": 2,
+      "n": 200,
+      "m": 40,
+      "entropy_bits": 4.399070463409065,
+      "pi_observed": 0.01682224022194539,
+      "pi_lb_analytic": 0.0,
+      "pi_ub_analytic": 0.4627168523708227,
+      "pi_lb_tight": 0.0,
+      "pi_ub_tight": 0.3587513751597725,
+      "violation": false
+    },
+    {
+      "scenario_id": 0,
+      "n": 1500,
+      "m": 1000,
+      "entropy_bits": 6.724444975346963,
+      "pi_observed": 2.8210822549027065e-11,
+      "pi_lb_analytic": 0.0,
+      "pi_ub_analytic": 0.32524678607620783,
+      "pi_lb_tight": 0.0,
+      "pi_ub_tight": 0.18116134060013184,
+      "violation": false
+    },
+    {
+      "scenario_id": 1,
+      "n": 1500,
+      "m": 1000,
+      "entropy_bits": 7.265026031265806,
+      "pi_observed": 6.934900603571257e-11,
+      "pi_lb_analytic": 0.0,
+      "pi_ub_analytic": 0.2710030817697813,
+      "pi_lb_tight": 0.0,
+      "pi_ub_tight": 0.1989365266617824,
+      "violation": false
+    },
+    {
+      "scenario_id": 2,
+      "n": 1500,
+      "m": 1000,
+      "entropy_bits": 6.8061863816691135,
+      "pi_observed": 6.917011289922871e-11,
+      "pi_lb_analytic": 0.0,
+      "pi_ub_analytic": 0.317044581012633,
+      "pi_lb_tight": 0.0,
+      "pi_ub_tight": 0.18381433731277258,
+      "violation": false
+    }
+  ],
+  "summary": {
+    "total": 6,
+    "violations": 0,
+    "failures": 0,
+    "gap_stats": {
+      "analytic": {
+        "m_lt_half": {
+          "records": 3,
+          "mean": 0.4050288245609193,
+          "median": 0.3850218094901594
+        },
+        "m_ge_half": {
+          "records": 3,
+          "mean": 0.30443148295287403,
+          "median": 0.317044581012633
+        }
+      },
+      "tight": {
+        "m_lt_half": {
+          "records": 3,
+          "mean": 0.29326513434740875,
+          "median": 0.27066833324788614
+        },
+        "m_ge_half": {
+          "records": 3,
+          "mean": 0.18797073485822893,
+          "median": 0.18381433731277258
+        }
+      },
+      "per_shape": [
+        {
+          "n": 200,
+          "m": 40,
+          "regime": "m_lt_half",
+          "mean_gap_analytic": 0.4050288245609193,
+          "median_gap_analytic": 0.3850218094901594,
+          "mean_gap_tight": 0.29326513434740875,
+          "median_gap_tight": 0.27066833324788614
+        },
+        {
+          "n": 1500,
+          "m": 1000,
+          "regime": "m_ge_half",
+          "mean_gap_analytic": 0.30443148295287403,
+          "median_gap_analytic": 0.317044581012633,
+          "mean_gap_tight": 0.18797073485822893,
+          "median_gap_tight": 0.18381433731277258
+        }
+      ]
+    }
+  }
+}
+"""
+
+
 def _subparsers():
     (action,) = [
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -188,6 +347,15 @@ class TestBoundsCommand:
         assert "-0.0" not in out
         doc = json.loads(out)
         assert doc["pi"]["ub_tight"] == 0.0
+
+    def test_weights_whose_total_overflows_are_valid(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("1e308\n1e308\n0.5e308\n")
+        code, out, err = run_cli(capsys, "bounds", "--dist", str(path), "--m", "1")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["entropy_bits"] == sb.entropy(sb.make_distribution([0.4, 0.4, 0.2]))
+        assert doc["pi_observed"] == 0.4 + 0.2
 
     def test_json_integer_too_large_for_float_is_bad_input(self, capsys, tmp_path):
         path = tmp_path / "big.json"
@@ -517,6 +685,15 @@ class TestSweepCommand:
                 assert cells[3:9] == ["nan"] * 6 and cells[9] == "true"
         summary = json.loads(err)
         assert summary["total"] == 16 and summary["failures"] == 8
+
+    def test_paper_figs_output_is_pinned(self, capsys):
+        argv = ("sweep", "--paper-figs", "--seed", "42", "--scenarios", "2", "--format", "csv")
+        assert run_cli(capsys, *argv)[:2] == (0, PAPER_FIGS_SEED_42_CSV)
+
+    def test_spiky_config_output_is_pinned(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SPIKY_SWEEP_CONFIG)
+        assert run_cli(capsys, "sweep", "--config", str(cfg))[:2] == (0, SPIKY_SWEEP_JSON)
 
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import selbounds as sb
 from helpers import mp_entropy
+from selbounds.core import ZERO_FLOOR, entropy_rows, entropy_terms, sorted_rows
 
 weight_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -195,3 +196,95 @@ class TestKeyValueConfig:
     def test_malformed_input_rejected(self, parse, text, message):
         with pytest.raises(sb.BadConfigError, match=message):
             parse(text)
+
+
+class TestEntropyTerms:
+    def test_matches_the_masked_formula_bit_for_bit(self, rng):
+        edges = [0.0, -0.0, -1e-13, 1e-16, ZERO_FLOOR, np.nextafter(ZERO_FLOOR, 1.0), 0.5,
+                 1.0, np.nan, 5e-324, 1e-300, -np.inf, np.inf]
+        x = np.concatenate([edges, 10.0 ** rng.uniform(-320, 0, 5000), -rng.random(100)])
+        # -x*log2(x) clipped at 0 and masked with np.where: the same values, by temporaries
+        clipped = np.maximum(x, 0.0)
+        live = clipped > ZERO_FLOOR
+        want = np.where(live, -clipped * np.log2(np.where(live, clipped, 1.0)), 0.0)
+        got = entropy_terms(x)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[~(x > ZERO_FLOOR)]).any()  # +0.0 at the floor, below, NaN
+        assert float(entropy_terms(0.5)) == 0.5  # scalars too
+
+
+class TestRowsMatchOneDimensionalPath:
+    """``sorted_rows``/``entropy_rows`` give what ``make_distribution``/``entropy`` give."""
+
+    #: (weights, error class and message make_distribution raises, or None)
+    EDGE_ROWS = [
+        ([1.0, np.nan, 2.0], (sb.InvalidEntryError, "raw weights contain NaN or infinite")),
+        ([1.0, np.inf, 2.0], (sb.InvalidEntryError, "raw weights contain NaN or infinite")),
+        ([1.0, -np.inf, 2.0], (sb.InvalidEntryError, "raw weights contain NaN or infinite")),
+        ([1e308, 1e308, np.inf], (sb.InvalidEntryError, "raw weights contain NaN or infinite")),
+        ([1.0, -1e-300, 2.0], (sb.InvalidEntryError, "raw weights contain negative")),
+        ([1e308, -1e308, 1e-300], (sb.InvalidEntryError, "raw weights contain negative")),
+        ([1.0, -0.0, 2.0], None),
+        ([0.0, 0.0, 0.0], (sb.AllZeroError, "raw weights carry no positive mass")),
+        ([-0.0, -0.0, -0.0], (sb.AllZeroError, "raw weights carry no positive mass")),
+        ([1e308, 1e308, 0.5e308], None),
+        ([1.7e308, 1.7e308, 1.7e308], None),
+        ([5e-324, 1e-323, 5e-324], None),
+        ([2.0, 1.0, 2.0], None),
+        ([1.0, 1.0, 1.0], None),
+        ([0.0, 3.0, 0.0], None),
+        ([1.0, 1e-20, 1e-17], None),
+    ]
+
+    @staticmethod
+    def _check_block(rows, errors):
+        probs, ok = sorted_rows(np.array(rows, dtype=float))
+        assert ok.tolist() == [e is None for e in errors]
+        passed = [row for row, e in zip(rows, errors) if e is None]
+        dists = [sb.make_distribution(row) for row in passed]
+        for got, dist in zip(probs[ok], dists):
+            assert got.tobytes() == dist.probs.tobytes()
+        want = np.array([sb.entropy(d) for d in dists])
+        assert entropy_rows(probs[ok]).tobytes() == want.tobytes()
+        # the sum over just the entries above the floor, as a 1-D vector
+        kept = [d.probs[d.probs > ZERO_FLOOR] for d in dists]
+        ref = [max(0.0, float(-(k * np.log2(k)).sum())) for k in kept]
+        assert want.tobytes() == np.array(ref).tobytes()
+        for row, error in zip(rows, errors):
+            if error is not None:
+                with pytest.raises(sb.SelboundsError, match=error[1]) as info:
+                    sb.make_distribution(row)
+                assert type(info.value) is error[0]
+
+    def test_edge_rows(self):
+        rows, errors = zip(*self.EDGE_ROWS)
+        self._check_block(list(rows), list(errors))
+
+    def test_single_entry_rows(self):
+        self._check_block([[3.0], [5e-324], [0.0], [np.nan]], [
+            None, None, self.EDGE_ROWS[7][1], self.EDGE_ROWS[0][1],
+        ])
+
+    @pytest.mark.parametrize("n", [20, 300, 3000])
+    def test_rows_with_entries_at_or_below_the_floor(self, n):
+        rows = np.random.default_rng(n).gamma(0.02, size=(40, n))
+        probs, ok = sorted_rows(rows)
+        assert ok.all() and (probs <= ZERO_FLOOR).any(axis=1).sum() >= 10
+        self._check_block(rows.tolist(), [None] * len(rows))
+
+
+class TestOverflowingTotal:
+    WEIGHTS = [1e308, 1e308, 0.5e308]
+
+    def test_one_dimensional_path_normalizes(self):
+        d = sb.make_distribution(self.WEIGHTS)
+        assert d.probs.tolist() == [0.4, 0.4, 0.2]
+        scaled = sb.make_distribution(np.array(self.WEIGHTS) * 2.0**-64)
+        assert d.probs.tobytes() == scaled.probs.tobytes()
+
+    def test_row_path_scales_only_the_overflowing_row(self):
+        rows = np.array([self.WEIGHTS, [3.0, 1.0, 1.0]])
+        probs, ok = sorted_rows(rows)
+        assert ok.all()
+        assert probs[0].tolist() == [0.4, 0.4, 0.2]
+        assert probs[1].tobytes() == sb.make_distribution([3.0, 1.0, 1.0]).probs.tobytes()

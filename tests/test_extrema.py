@@ -16,7 +16,8 @@ from helpers import (
     mp_min_entropy_m1,
     scan_min_entropy_values,
 )
-from selbounds.extrema import REMAINDER_SNAP, _fe
+from selbounds.core import entropy_terms
+from selbounds.extrema import REMAINDER_SNAP
 
 
 def random_shape(rng, n_max=40):
@@ -185,7 +186,7 @@ class TestFewJunctionKernel:
         """Junction counts whose float entropy is within 1e-14 of the lowest."""
         s = np.arange(1, n - m + 1, dtype=float)
         ph = pi / s
-        vals = (m - 1 + s) * _fe(ph) + _fe((1.0 - pi) - (m - 1) * ph)
+        vals = (m - 1 + s) * entropy_terms(ph) + entropy_terms((1.0 - pi) - (m - 1) * ph)
         vals = np.where(ph <= (1.0 - pi) / m + REMAINDER_SNAP, vals, np.inf)
         return [int(v) for v in s[vals <= vals.min() + 1e-14]]
 
@@ -479,7 +480,8 @@ def reference_candidates(shape):
         return (sb.CandidateEvaluation(0.0, 0.0, shape),)
     if m == 1:
         step, copies, remainder = _staircase(n, pi)
-        return (sb.CandidateEvaluation(step, float(copies * _fe(step) + _fe(remainder)), shape),)
+        bits = copies * entropy_terms(step) + entropy_terms(remainder)
+        return (sb.CandidateEvaluation(step, float(bits), shape),)
     p_hats = sb.candidate_set(shape)
     bits = _candidate_entropies(m, pi, p_hats)
     return tuple(sb.CandidateEvaluation(float(p), float(b), shape) for p, b in zip(p_hats, bits))
