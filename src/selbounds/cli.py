@@ -2,11 +2,13 @@
 
 Every capability is exposed as a subcommand emitting machine-readable
 JSON or CSV (``--format``; ``scenario`` and ``oracle-check`` are JSON
-only), to stdout or ``--out``.  Each subcommand takes only the shared
-options it reads.  Exit codes: 0 on success, 1 on any input/validation
-problem (single-line ``error: ...`` on stderr), 2 on internal numeric
-failure.  All randomized commands are seeded and produce byte-identical
-output for identical invocations.
+only), to stdout or ``--out``, in blocks of :data:`CSV_BLOCK_ROWS` rows:
+every CSV through ``core.csv_blocks``, which holds the cell rules, and
+every JSON document through :func:`_json_blocks`.  Each subcommand takes
+only the shared options it reads.  Exit codes: 0 on success, 1 on any
+input/validation problem (single-line ``error: ...`` on stderr), 2 on
+internal numeric failure.  All randomized commands are seeded and
+produce byte-identical output for identical invocations.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import numpy as np
 from . import __version__
 from .core import (
     DEFAULT_TOLERANCE,
+    FLAG_TEXT,
     SystemShape,
+    csv_blocks,
     entropy,
     format_number,
-    format_numbers,
     make_distribution,
     read_weights,
     tail_probability,
@@ -83,8 +86,6 @@ class _Parser(argparse.ArgumentParser):
 #: few MB instead of holding the whole document.
 CSV_BLOCK_ROWS = 65_536
 
-_FLAG_TEXT = ("false", "true")
-
 
 def _emit(chunks: str | Iterable[str], out_path: str | None) -> None:
     """Write a ``str`` or an iterable of text chunks as they arrive."""
@@ -95,52 +96,6 @@ def _emit(chunks: str | Iterable[str], out_path: str | None) -> None:
             handle.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
-
-
-def _csv_blocks(head: str, count: int, columns):
-    """Yield ``head``, then ``count`` CSV rows in chunks of CSV_BLOCK_ROWS.
-
-    Each column maps a row slice to the cells of those rows as strings.
-    The rows are formatted as the chunks are written, so the whole
-    document is never held at once.
-    """
-    yield head
-    for start in range(0, count, CSV_BLOCK_ROWS):
-        block = slice(start, start + CSV_BLOCK_ROWS)
-        cells = [column(block) for column in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def _number_cells(values):
-    values = np.asarray(values, dtype=float)
-    return lambda block: format_numbers(values[block])
-
-
-def _flag_cells(values):
-    values = np.asarray(values, dtype=bool)
-    return lambda block: [_FLAG_TEXT[f] for f in values[block].tolist()]
-
-
-def _int_cells(values):
-    values = np.asarray(values, dtype=np.int64)
-    return lambda block: list(map(str, values[block].tolist()))
-
-
-def _id_cells(index: np.ndarray):
-    """Cells ``a+b+...`` of the rows of a 2-D array of object ids.
-
-    The text of every id ``0..max`` is made once; each block looks its ids
-    up and joins the columns with ``np.char.add``.
-    """
-    table = np.array([str(i) for i in range(int(index.max()) + 1)])
-
-    def cells(block):
-        text = table[index[block, 0]]
-        for j in range(1, index.shape[1]):
-            text = np.char.add(np.char.add(text, "+"), table[index[block, j]])
-        return text.tolist()
-
-    return cells
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,7 +120,7 @@ def _json_cells(values: np.ndarray, level: int) -> list[str]:
         row = "[" + pad + ("," + pad).join(["%s"] * values.shape[1]) + "\n" + _INDENT * level + "]"
         return list(map(row.__mod__, zip(*(_json_cells(c, level + 1) for c in values.T))))
     if values.dtype == bool:
-        return [_FLAG_TEXT[f] for f in values.tolist()]
+        return [FLAG_TEXT[f] for f in values.tolist()]
     cells = list(map(repr, values.tolist()))
     if values.dtype.kind == "f":
         for i in np.flatnonzero(~np.isfinite(values)).tolist():
@@ -442,23 +397,18 @@ def _cmd_bounds(args) -> tuple[str | Iterable[str], str | None]:
             args.n, args.m, args.entropy, k=1, mode="direct",
             include_flawed=args.compare_flawed, tol=args.tolerance,
         )
-    if args.format == "json":
-        return _json_blocks(report.to_dict()), None
     d = report.to_dict()
-    cols = ["n", "m", "k", "mode", "entropy_bits"]
-    vals = [str(d["n"]), str(d["m"]), str(d["k"]), d["mode"], format_number(d["entropy_bits"])]
-    for key, value in d["pi"].items():
-        cols.append(f"pi_{key}")
-        vals.append(format_number(value))
-    for key, value in d["psi"].items():
-        cols.append(f"psi_{key}")
-        vals.append(format_number(value))
-    if "pi_observed" in d:
-        cols.append("pi_observed")
-        vals.append(format_number(d["pi_observed"]))
-    cols.append("clamped")
-    vals.append(";".join(d["clamped"]))
-    return ",".join(cols) + "\n" + ",".join(vals) + "\n", None
+    if args.format == "json":
+        return _json_blocks(d), None
+    d["clamped"] = ";".join(d["clamped"])
+    row = {}  # column -> value, in column order; pi and psi give one column per entry
+    for key in ("n", "m", "k", "mode", "entropy_bits", "pi", "psi", "pi_observed",
+                "clamped", "selection_mismatch"):
+        if isinstance(d.get(key), dict):
+            row.update((f"{key}_{name}", value) for name, value in d[key].items())
+        elif key in d:
+            row[key] = d[key]
+    return csv_blocks(",".join(row) + "\n", [[v] for v in row.values()], CSV_BLOCK_ROWS), None
 
 
 def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
@@ -486,7 +436,7 @@ def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
         f"# which={args.which} n={shape.n} m={shape.m} pi={format_number(shape.pi)} "
         f"entropy_bits={format_number(bits)}\n"
     )
-    return _csv_blocks(head, dist.n, [_number_cells(dist.probs)]), None
+    return csv_blocks(head, [dist.probs], CSV_BLOCK_ROWS), None
 
 
 def _cmd_curve(args) -> tuple[str | Iterable[str], str | None]:
@@ -496,14 +446,7 @@ def _cmd_curve(args) -> tuple[str | Iterable[str], str | None]:
         return _json_blocks({
             "n": shape.n, "m": shape.m, "pi": shape.pi, "samples": _Rows(columns),
         }), None
-    cells = [
-        _number_cells(columns["p_hat"]),
-        _number_cells(columns["entropy_bits"]),
-        _int_cells(columns["segment_index"]),
-        _flag_cells(columns["is_junction"]),
-    ]
-    head = "p_hat,entropy_bits,segment_index,is_junction\n"
-    return _csv_blocks(head, len(columns["p_hat"]), cells), None
+    return csv_blocks(",".join(columns) + "\n", list(columns.values()), CSV_BLOCK_ROWS), None
 
 
 def _cmd_transform(args) -> tuple[str | Iterable[str], str | None]:
@@ -514,12 +457,11 @@ def _cmd_transform(args) -> tuple[str | Iterable[str], str | None]:
         ts = transform_repeated(dist, args.m, args.k, args.tolerance)
     header = {
         "n_prime": ts.n_prime, "m_prime": ts.m_prime, "mode": ts.mode,
-        "k": ts.k, "entropy_bits": entropy(ts.dist),
+        "k": ts.k, "entropy_bits": entropy(ts.dist), "selection_mismatch": ts.selection_mismatch,
     }
     if args.format == "json":
         return _json_blocks({
             **header,
-            "selection_mismatch": ts.selection_mismatch,
             "composites": _Rows({
                 "ids": ts.composite_index,
                 "probability": ts.dist.probs,
@@ -527,12 +469,8 @@ def _cmd_transform(args) -> tuple[str | Iterable[str], str | None]:
             }),
         }), None
     head = f"# {json.dumps(header)}\ncomposite_ids,probability,in_selected_set\n"
-    columns = [
-        _id_cells(ts.composite_index),
-        _number_cells(ts.dist.probs),
-        _flag_cells(ts.in_selected),
-    ]
-    return _csv_blocks(head, ts.n_prime, columns), None
+    columns = [ts.composite_index, ts.dist.probs, ts.in_selected]
+    return csv_blocks(head, columns, CSV_BLOCK_ROWS), None
 
 
 def _cmd_sweep(args) -> tuple[str | Iterable[str], str | None]:

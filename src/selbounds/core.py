@@ -369,3 +369,46 @@ def format_numbers(values) -> list[str]:
     """
     spec = _NUMBER_FORMAT
     return [format(v, spec) for v in np.asarray(values, dtype=float).tolist()]
+
+
+#: Text of a ``False``/``True`` flag, indexed by the flag, in CSV and JSON output.
+FLAG_TEXT = ("false", "true")
+
+
+def _csv_cells(values: np.ndarray):
+    """The function mapping a row slice of one CSV column to its cells, picked from the dtype.
+
+    Floats read as :func:`format_numbers`, flags as :data:`FLAG_TEXT` and
+    other 1-D values as ``str``.  A 2-D array holds object ids, one row
+    per cell, joined ``a+b+...``; the text of every id ``0..max`` is made
+    once, and each block looks its ids up.
+    """
+    if values.ndim == 2:
+        table = np.array([str(i) for i in range(int(values.max()) + 1)])
+
+        def ids(block):
+            text = table[values[block, 0]]
+            for j in range(1, values.shape[1]):
+                text = np.char.add(np.char.add(text, "+"), table[values[block, j]])
+            return text.tolist()
+
+        return ids
+    if values.dtype.kind == "f":
+        return lambda block: format_numbers(values[block])
+    if values.dtype == bool:
+        return lambda block: [FLAG_TEXT[f] for f in values[block].tolist()]
+    return lambda block: list(map(str, values[block].tolist()))
+
+
+def csv_blocks(head: str, columns, rows: int):
+    """Yield ``head``, then the CSV rows of equal-length ``columns`` in chunks of ``rows``.
+
+    Each column's cell function is picked once per document (see
+    :func:`_csv_cells`); the rows are formatted as the chunks are written,
+    so no more than one chunk of text is held at once.
+    """
+    cells = [_csv_cells(np.asarray(column)) for column in columns]
+    yield head
+    for start in range(0, len(columns[0]), rows):
+        block = slice(start, start + rows)
+        yield "\n".join(map(",".join, zip(*(column(block) for column in cells)))) + "\n"

@@ -28,9 +28,9 @@ from .core import (
     SortedDistribution,
     SystemShape,
     built_internally,
+    csv_blocks,
     entropy_rows,
     env_cap,
-    format_number,
     make_distribution,
     parse_key_values,
     sorted_rows,
@@ -353,22 +353,8 @@ def summarize(records: list[SweepRecord]) -> dict:
 
 def records_to_csv(records: list[SweepRecord]) -> str:
     """Render sweep records as CSV (stable header, 12 significant digits)."""
-    lines = [SWEEP_CSV_HEADER]
-    for r in records:
-        values = (
-            r.entropy_bits,
-            r.pi_observed,
-            r.pi_lb_analytic,
-            r.pi_ub_analytic,
-            r.pi_lb_tight,
-            r.pi_ub_tight,
-        )
-        lines.append(
-            f"{r.scenario_id},{r.n},{r.m},"
-            + ",".join(format_number(v) for v in values)
-            + (",true" if r.violation else ",false")
-        )
-    return "\n".join(lines) + "\n"
+    columns = [[getattr(r, name) for r in records] for name in SWEEP_CSV_HEADER.split(",")]
+    return "".join(csv_blocks(SWEEP_CSV_HEADER + "\n", columns, len(records) or 1))
 
 
 def _two_level_extreme_points(n: int, m: int, pi: float):

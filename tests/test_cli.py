@@ -605,7 +605,7 @@ class TestTransformCommand:
         header = json.loads(lines[0][2:])
         assert header == {
             "n_prime": 3, "m_prime": 1, "mode": "unique", "k": 2,
-            "entropy_bits": header["entropy_bits"],
+            "entropy_bits": header["entropy_bits"], "selection_mismatch": False,
         }
         assert lines[1] == "composite_ids,probability,in_selected_set"
         first = lines[2].split(",")
