@@ -180,20 +180,72 @@ def flawed_pi_lower_bound(n: int, m: int, h: float) -> float:
     return (float(h) - 1.0 - math.log2(m)) / den
 
 
+#: Most midpoints one ``below`` call evaluates: with few elements open, the
+#: bisection evaluates the next levels of each one's bisection tree at once
+#: (see :func:`_tree_levels`).
+_TREE_POINTS = 15
+
+
+def _midpoint(lo, hi):
+    """The bisection's split point of the bracket ``[lo, hi]``."""
+    return 0.5 * (lo + hi)
+
+
+def _tree_levels(open_count: int) -> int:
+    """Bisection levels per ``below`` call for ``open_count`` open elements.
+
+    The most levels whose ``2**levels - 1`` tree midpoints per element stay
+    within ``_TREE_POINTS`` in all, and at least one: one element gets 4
+    levels per call, 6 or more get one.
+    """
+    return max(1, ((_TREE_POINTS // open_count) + 1).bit_length() - 1)
+
+
+def _tree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
+    """Every midpoint of the first ``levels`` levels of each bracket's bisection tree.
+
+    Row ``j`` of the ``(2**levels - 1, len(lo))`` result is tree node ``j``
+    in breadth-first order: node ``j`` splits at ``_midpoint`` of its
+    bracket, and its children ``2j+1`` and ``2j+2`` hold the left and
+    right halves.
+    """
+    a, b = lo[None], hi[None]
+    mids = [_midpoint(a, b)]
+    for _ in range(levels - 1):
+        mid = mids[-1]
+        a, b = (np.stack(pair, axis=1).reshape(-1, lo.size) for pair in ((a, mid), (mid, b)))
+        mids.append(_midpoint(a, b))
+    return np.concatenate(mids)
+
+
 def _bisect(top, floor, ceiling, below) -> tuple[np.ndarray, np.ndarray]:
     """Bisect ``[0, top]`` per element until its own bracket is ``_INVERSION_EPS`` wide.
 
     ``top`` is a float or one upper end per element.  Elements flagged
     ``floor`` stay at 0, the rest flagged ``ceiling`` at ``top``;
     ``below(mid, idx)`` flags open midpoints left of the answer.
+
+    Each ``below`` call covers the next :func:`_tree_levels` levels: it
+    takes every midpoint those levels could split at, breadth first (node
+    ``j``'s children are ``2j+1`` and ``2j+2``), and the walk then follows
+    each element's own path through them.  A node's bracket is the one the
+    walk holds on reaching it, so every step splits where one level per
+    call would, and the answers do not depend on the level count.
     """
     lo = np.where(ceiling & ~floor, top, 0.0)
     hi = np.where(floor, 0.0, top)
     while (idx := np.flatnonzero(hi - lo > _INVERSION_EPS)).size:
-        mid = 0.5 * (lo[idx] + hi[idx])
-        left = below(mid, idx)
-        lo[idx[left]] = mid[left]
-        hi[idx[~left]] = mid[~left]
+        levels = _tree_levels(idx.size)
+        mids = _tree_midpoints(lo[idx], hi[idx], levels)
+        left = below(mids.ravel(), np.tile(idx, len(mids))).reshape(mids.shape)
+        cols, node = slice(None), 0  # the open elements' columns, and their nodes
+        for level in range(levels):
+            at, mid, go = idx[cols], mids[node, cols], left[node, cols]
+            lo[at[go]] = mid[go]
+            hi[at[~go]] = mid[~go]
+            if level + 1 < levels:
+                keep = hi[at] - lo[at] > _INVERSION_EPS
+                cols, node = np.arange(idx.size)[cols][keep], (2 * node + 1 + go)[keep]
     return lo, hi
 
 

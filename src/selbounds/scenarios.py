@@ -15,6 +15,7 @@ size / one channel per client).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,10 +180,18 @@ class ScenarioReport:
 
 
 #: Monte Carlo trials drawn per block, so peak memory stays that of one
-#: block whatever the trial count.  ``Generator.random`` and
-#: ``Generator.gumbel`` fill arrays in row-major order, so drawing block by
-#: block consumes the Philox stream exactly as one full-size draw would.
+#: block whatever the trial count.  ``Generator.gumbel`` fills arrays in
+#: row-major order, so drawing block by block consumes the Philox stream
+#: exactly as one full-size draw would; the uniform samplers count raw
+#: words in blocks of ``TRIAL_BLOCK_ROWS // TRIAL_SEGMENTS`` trials per
+#: segment (see :func:`_count_below`), so the words in flight stay those of
+#: one block.
 TRIAL_BLOCK_ROWS = 65_536
+
+#: Fixed stream segments of a uniform sampler's trials, each counted on its
+#: own thread.  The count is the same for any number of segments, so it
+#: does not depend on the core count either.
+TRIAL_SEGMENTS = 2
 
 #: Gumbel keys drawn per block: a Gumbel trial draws one key per object, so
 #: its blocks hold ``max(1, GUMBEL_BLOCK_CELLS // n)`` trials and stay about
@@ -190,14 +199,12 @@ TRIAL_BLOCK_ROWS = 65_536
 GUMBEL_BLOCK_CELLS = 1 << 18
 
 
-def _count_in_blocks(trials: int, count_block, rows: int | None = None) -> int:
+def _count_in_blocks(trials: int, count_block, rows: int) -> int:
     """Sum ``count_block(r)`` over consecutive blocks of ``rows`` trials.
 
-    ``rows`` defaults to ``TRIAL_BLOCK_ROWS``.  The count is an exact
-    integer, so ``count / trials`` is rounded once and equals ``np.mean`` of
-    the per-trial boolean outcomes bit for bit.
+    The count is an exact integer, so ``count / trials`` is rounded once and
+    equals ``np.mean`` of the per-trial boolean outcomes bit for bit.
     """
-    rows = rows or TRIAL_BLOCK_ROWS
     return sum(
         count_block(min(rows, trials - start)) for start in range(0, trials, rows)
     )
@@ -210,6 +217,8 @@ def _head_threshold(dist: SortedDistribution, m: int) -> float:
     ``searchsorted(cdf, u, side="right")`` with ``cdf = p.cumsum() / cdf[-1]``,
     so its draw is one of the first m exactly when ``u < cdf[m-1]``; the
     threshold is computed the same way, so counts match ``choice`` exactly.
+    The samplers compare raw Philox words with :func:`_raw_limit` of it,
+    which decides every draw as ``u < cdf[m-1]`` does.
     ``choice`` also rejected negative ``p`` and sums more than
     ``sqrt(eps)`` (about 1.5e-8) from 1; a :class:`SortedDistribution`
     already guarantees both, as its entries are clipped to be non-negative
@@ -220,15 +229,91 @@ def _head_threshold(dist: SortedDistribution, m: int) -> float:
     return float(cdf[m - 1])
 
 
+def _raw_limit(c: float) -> int:
+    """The largest raw Philox word that ``Generator.random()`` maps below ``c``.
+
+    ``Generator.random`` turns the word ``r`` into ``(r >> 11) * 2**-53``.
+    That is below ``c`` exactly when the integer ``r >> 11`` is below
+    ``ceil(c * 2**53)`` (a product by a power of two, so exact), that is
+    when ``r < ceil(c * 2**53) << 11``.  ``c`` is a top-m mass, in
+    ``(0, 1]``, so the limit is a uint64: ``2**64 - 1``, every word, at
+    ``c = 1``.
+    """
+    return (math.ceil(c * 2**53) << 11) - 1
+
+
+def _philox_at(state: dict, words: int) -> np.random.Philox:
+    """A Philox in ``state`` moved on ``words`` raw words, as drawing them would.
+
+    One Philox step makes 4 words, and the state buffers those not yet
+    drawn.  ``advance`` skips whole steps and empties the buffer, so the
+    last 1-4 words are drawn: counter, buffer and position then equal those
+    of a serial draw.
+    """
+    bg = np.random.Philox()
+    bg.state = state
+    ahead = words - (4 - state["buffer_pos"])  # words past the buffered ones
+    if ahead > 0:
+        bg.advance((ahead - 1) // 4)
+        words = (ahead - 1) % 4 + 1
+    bg.random_raw(words, output=False)
+    return bg
+
+
+def _count_below(rng: np.random.Generator, trials: int, k: int, c: float) -> int:
+    """Trials of ``k`` uniforms, drawn as ``rng.random((trials, k))``, all below ``c``.
+
+    The count is taken on the raw Philox words under that draw, against
+    :func:`_raw_limit`, so every decision is the uniform's.  The trials
+    are split into ``TRIAL_SEGMENTS`` fixed stream segments: each starts on
+    a Philox copy moved on to its first word and counts on its own thread
+    (``random_raw`` and the compares release the GIL).  ``rng`` is left
+    where the serial draw would leave it.
+    """
+    state = rng.bit_generator.state
+    limit = np.uint64(_raw_limit(c))
+    cuts = [trials * s // TRIAL_SEGMENTS for s in range(TRIAL_SEGMENTS + 1)]
+    segments = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+    streams = [_philox_at(state, a * k) for a, _ in segments]
+    rows = max(1, TRIAL_BLOCK_ROWS // TRIAL_SEGMENTS)
+    counts, errors = [0] * len(segments), []
+
+    def count(i: int) -> None:
+        (a, b), bg = segments[i], streams[i]
+
+        def count_block(r: int) -> int:
+            words = bg.random_raw(r * k).reshape(r, k)
+            hit = words[:, 0] <= limit
+            for j in range(1, k):
+                hit &= words[:, j] <= limit
+            return int(np.count_nonzero(hit))
+
+        try:
+            counts[i] = _count_in_blocks(b - a, count_block, rows)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=count, args=(i,)) for i in range(1, len(segments))]
+    for thread in threads:
+        thread.start()
+    count(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    # random_raw leaves the 32-bit buffer alone; advance clears it
+    rng.bit_generator.state = {
+        **streams[-1].state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]
+    }
+    return sum(counts)
+
+
 def _sample_misses_single(
     dist: SortedDistribution, m: int, trials: int, rng: np.random.Generator
 ) -> float:
     """Fraction of trials whose single weighted pick falls outside the top m."""
-    c = _head_threshold(dist, m)
-    misses = _count_in_blocks(
-        trials, lambda rows: int(np.count_nonzero(rng.random(rows) >= c))
-    )
-    return misses / trials
+    hits = _count_below(rng, trials, 1, _head_threshold(dist, m))
+    return (trials - hits) / trials
 
 
 def _sample_hits_unique(
@@ -261,16 +346,7 @@ def _sample_hits_repeated(
     """Fraction of trials whose k independent picks all hit the top m."""
     if m == dist.n:
         return 1.0
-    c = _head_threshold(dist, m)
-
-    def count_block(rows: int) -> int:
-        u = rng.random((rows, k))
-        hit = u[:, 0] < c
-        for j in range(1, k):
-            hit &= u[:, j] < c
-        return int(np.count_nonzero(hit))
-
-    return _count_in_blocks(trials, count_block) / trials
+    return _count_below(rng, trials, k, _head_threshold(dist, m)) / trials
 
 
 def _within(report: BoundReport, tol: float) -> bool:

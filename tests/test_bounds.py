@@ -214,6 +214,69 @@ class TestTightUpperInversion:
         assert got.tolist() == want.tolist()
 
 
+def one_level_bisect(top, floor, ceiling, below):
+    """``_bisect`` with one ``below`` call per bisection level, as it was."""
+    lo = np.where(ceiling & ~floor, top, 0.0)
+    hi = np.where(floor, 0.0, top)
+    while (idx := np.flatnonzero(hi - lo > bounds_mod._INVERSION_EPS)).size:
+        mid = 0.5 * (lo[idx] + hi[idx])
+        left = below(mid, idx)
+        lo[idx[left]] = mid[left]
+        hi[idx[~left]] = mid[~left]
+    return lo, hi
+
+
+class TestTreeBatchedBisection:
+    """A ``below`` call over several tree levels splits where one level per call does."""
+
+    SHAPES = [(2, 1), (7, 7), (7, 1), (60, 10), (34_220, 120), (10**6, 1), (10**6, 999_999)]
+
+    @staticmethod
+    def _batches(n, m, rng, size):
+        """The edge entropies and random ones, shuffled, in batches of ``size``."""
+        top = math.log2(n)
+        edges = [0.0, math.log2(m) - 1e-12, math.log2(m), math.log2(m) + 1e-12, top]
+        hs = np.concatenate([edges, rng.uniform(0.0, top, max(7, size - len(edges)))])
+        hs = np.clip(rng.permutation(hs), 0.0, top)
+        return [hs[start:start + size] for start in range(0, hs.size, size)]
+
+    @pytest.mark.parametrize("levels", [1, 3, 4, 8])
+    def test_tree_levels_within_budget(self, monkeypatch, levels):
+        points = 2**levels - 1
+        monkeypatch.setattr(bounds_mod, "_TREE_POINTS", points)
+        assert bounds_mod._tree_levels(1) == levels
+        for open_count in range(1, 2 * points + 2):
+            got = bounds_mod._tree_levels(open_count)
+            assert got >= 1
+            assert got == 1 or open_count * (2**got - 1) <= points
+            assert open_count * (2 ** (got + 1) - 1) > points
+
+    @pytest.mark.parametrize("points", [15, 255])
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    @pytest.mark.parametrize("size", [1, 2, 7, 800, 5_000])
+    def test_equals_one_level_per_call(self, monkeypatch, rng, points, bound, size):
+        invert = getattr(bounds_mod, f"_invert_{bound}")
+        monkeypatch.setattr(bounds_mod, "_TREE_POINTS", points)
+        for n, m in self.SHAPES:
+            for hs in self._batches(n, m, rng, size):
+                ns, ms = np.full(hs.size, n), np.full(hs.size, m)
+                got = invert(ns, ms, hs)
+                with monkeypatch.context() as patch:
+                    patch.setattr(bounds_mod, "_bisect", one_level_bisect)
+                    want = invert(ns, ms, hs)
+                assert got.tobytes() == want.tobytes(), (n, m, hs)
+
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_mixed_shapes_equal_one_level_per_call(self, monkeypatch, rng, bound):
+        rows = [(n, m, h) for n, m in self.SHAPES for h in self._batches(n, m, rng, 6)[0]]
+        ns, ms, hs = (np.array(c) for c in zip(*rng.permutation(np.array(rows, dtype=object))))
+        ns, ms, hs = ns.astype(int), ms.astype(int), hs.astype(float)
+        invert = getattr(bounds_mod, f"_invert_{bound}")
+        got = invert(ns, ms, hs)
+        monkeypatch.setattr(bounds_mod, "_bisect", one_level_bisect)
+        assert got.tobytes() == invert(ns, ms, hs).tobytes()
+
+
 class TestMeritBounds:
     def test_complement_of_reference(self):
         lb, ub = sb.merit_bounds_k1(20, 6, 4.0)

@@ -308,6 +308,102 @@ class TestSamplersMatchUnblockedDraws:
                 assert got.hex() == reference_misses_single(dist, m, 30, ref).hex()
 
 
+def philox_state(rng):
+    """The generator's Philox state with its arrays as lists, comparable with ``==``."""
+    state = rng.bit_generator.state
+    return {
+        key: {k: v.tolist() for k, v in value.items()} if isinstance(value, dict)
+        else value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in state.items()
+    }
+
+
+#: (sampler, its unblocked reference, k): the samplers that count raw words.
+RAW_SAMPLERS = [
+    (lambda d, m, k, t, r: scenarios._sample_misses_single(d, m, t, r),
+     lambda d, m, k, t, r: reference_misses_single(d, m, t, r), 1),
+    (scenarios._sample_hits_repeated, reference_hits_repeated, 3),
+    (scenarios._sample_hits_repeated, reference_hits_repeated, 2),
+]
+RAW_IDS = ["single", "repeated-k3", "repeated-k2"]
+
+
+class TestRawWordSegments:
+    """Raw Philox words in stream segments give the uniform draw's count and end state."""
+
+    @pytest.mark.parametrize("sampler, reference, k", RAW_SAMPLERS, ids=RAW_IDS)
+    @pytest.mark.parametrize("trials", [1, 7, 11, 13, 25, 2 * 65_536 + 1])
+    def test_segment_splits(self, monkeypatch, sampler, reference, k, trials):
+        # with k=3, 7, 11 and 13 trials split at word offsets 9, 15 and 18
+        monkeypatch.setattr(scenarios, "TRIAL_BLOCK_ROWS", 7)
+        dist = sb.make_distribution(sb.zipf_weights(9, 0.9))
+        for seed in (0, 5):
+            rng, ref = derive_rng(seed, 0), derive_rng(seed, 0)
+            got = sampler(dist, 4, k, trials, rng)
+            assert got.hex() == reference(dist, 4, k, trials, ref).hex()
+            assert philox_state(rng) == philox_state(ref)
+
+    @pytest.mark.parametrize("segments", [1, 2, 3])
+    @pytest.mark.parametrize("sampler, reference, k", RAW_SAMPLERS, ids=RAW_IDS)
+    def test_rate_does_not_depend_on_segments(self, monkeypatch, segments, sampler, reference, k):
+        monkeypatch.setattr(scenarios, "TRIAL_SEGMENTS", segments)
+        monkeypatch.setattr(scenarios, "TRIAL_BLOCK_ROWS", 7)
+        dist = sb.make_distribution(sb.zipf_weights(9, 0.9))
+        for trials in (1, 2, 3, 25, 1_001):
+            rng, ref = derive_rng(3, 0), derive_rng(3, 0)
+            got = sampler(dist, 4, k, trials, rng)
+            assert got.hex() == reference(dist, 4, k, trials, ref).hex()
+            assert philox_state(rng) == philox_state(ref)
+
+    @pytest.mark.parametrize("sampler, reference, k", RAW_SAMPLERS, ids=RAW_IDS)
+    @pytest.mark.parametrize("weights, m, c", [
+        ([3.0, 0.0, 2.0, 1.0, 0.0, 0.5], 4, 1.0),  # zero-mass tail: every draw hits
+        ([1.0, 1.0, 1.0, 1.0], 2, 0.5),
+        ([3.0, 1.0], 1, 0.75),
+    ])
+    def test_threshold_edges(self, monkeypatch, sampler, reference, k, weights, m, c):
+        # c * 2**53 is an integer, so the ceiling in the word limit rounds nothing
+        monkeypatch.setattr(scenarios, "TRIAL_BLOCK_ROWS", 7)
+        dist = sb.make_distribution(weights)
+        assert scenarios._head_threshold(dist, m) == c
+        assert (c * 2**53).is_integer()
+        for trials in (1, 30, 1_000):
+            rng, ref = derive_rng(2, 0), derive_rng(2, 0)
+            got = sampler(dist, m, k, trials, rng)
+            assert got.hex() == reference(dist, m, k, trials, ref).hex()
+            assert philox_state(rng) == philox_state(ref)
+
+    def test_raw_limit_decides_as_the_uniform(self):
+        # numpy maps the word r to (r >> 11) * 2**-53; probe words at and next to
+        # the limit and at both ends of the word range
+        for c in (2**-53, 0.1, 0.5, 0.75, 1 - 2**-53, np.nextafter(0.3, 1.0), 1.0):
+            limit = scenarios._raw_limit(c)
+            assert 0 <= limit < 2**64
+            for r in {0, 1, limit - 2048, limit - 1, limit, limit + 1, limit + 2048, 2**64 - 1}:
+                if 0 <= r < 2**64:
+                    assert (r <= limit) == ((r >> 11) * 2.0**-53 < c), (c, r)
+        assert scenarios._raw_limit(1.0) == 2**64 - 1
+
+    @pytest.mark.parametrize("drawn", [0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("half_word", [False, True])
+    def test_caller_state_after_earlier_draws(self, monkeypatch, drawn, half_word):
+        # a caller that already drew words, or a buffered 32-bit half word
+        monkeypatch.setattr(scenarios, "TRIAL_BLOCK_ROWS", 7)
+        dist = sb.make_distribution(sb.zipf_weights(9, 0.9))
+        rng, ref = derive_rng(4, 0), derive_rng(4, 0)
+        for g in (rng, ref):
+            g.random(drawn)
+            if half_word:
+                g.integers(0, 2**32, dtype=np.uint32)
+        for trials in (1, 4, 13):
+            got = scenarios._sample_hits_repeated(dist, 4, 3, trials, rng)
+            assert got.hex() == reference_hits_repeated(dist, 4, 3, trials, ref).hex()
+            assert philox_state(rng) == philox_state(ref)
+        assert rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == (
+            ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist())
+        assert rng.random(5).tolist() == ref.random(5).tolist()
+
+
 class TestChoiceInputChecks:
     """What reaches the samplers already passes the checks ``choice`` made.
 

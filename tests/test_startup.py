@@ -50,6 +50,10 @@ CLI_FORWARDERS = {
 
 COMMAND_MODULES = {"bounds", "extrema", "oracle", "scenarios", "transform"}
 
+#: Worker-pool modules: no command loads them, as their import would add to
+#: every process's start-up.
+POOL_MODULES = {"concurrent.futures", "multiprocessing"}
+
 
 def _python(*args):
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -144,6 +148,18 @@ class TestModuleSets:
         code, loaded = _loaded(*argv)
         assert code == 0
         assert loaded & UNLOADED[command] == set()
+
+    @pytest.mark.parametrize("command", ["bounds", "scenario"])
+    def test_command_loads_nothing_beyond_numpy_random(self, inputs, command):
+        # the scenario's Monte Carlo counts on threads, and threading comes with numpy
+        done = _python("-c", "import json, sys, numpy.random, selbounds.cli as cli; "
+                       "cli.build_parser(); print(json.dumps(sorted(sys.modules)))")
+        assert done.returncode == 0, done.stderr.decode()
+        allowed = set(json.loads(done.stdout))
+        assert "threading" in allowed and not POOL_MODULES & allowed
+        code, modules = _modules(*(a.format(tmp=inputs) for a in COMMANDS[command]))
+        assert code == 0
+        assert {m for m in set(modules) - allowed if not m.startswith("selbounds.")} == set()
 
     def test_sweep_leaves_numpy_ma_unloaded(self):
         # np.median imports numpy.ma, 16-18 ms of every sweep process
