@@ -20,7 +20,10 @@ entropy ``H_max(pi)``; :func:`_invert_upper` bisects the exact discrete
 minimum ``H_min(pi)``, which is non-decreasing and which
 :func:`~selbounds.extrema.min_entropy_values` takes from a fixed number
 of junctions per ``pi``, whatever ``n``.  Every element is bisected on
-its own, so an answer does not depend on the other elements of the call.
+its own, so an answer does not depend on the other elements of the call,
+until its bracket's ends are adjacent doubles; the lower bound is the
+bracket's low end and the upper bound its high end, so each is on the
+safe side of its curve's crossing, to the ulp.
 :class:`TightInverter`, :func:`pi_bounds_tight`, :func:`build_report` and
 the sweep all call these two functions.  Take any
 feasible ``p`` with tail mass ``pi' > pi`` and move ``pi' - pi`` from its
@@ -55,8 +58,6 @@ from .extrema import _index_bound, max_entropy_values
 # ``min_entropy_values`` attribute of this module with a counter that needs
 # an integer ``n``, and the inversion passes one ``n`` per element.
 from .extrema import min_entropy_values as _min_entropy_values
-
-_INVERSION_EPS = 1e-12
 
 
 def _check_entropy(n: int, h: float, tol: float) -> float:
@@ -187,8 +188,13 @@ _TREE_POINTS = 15
 
 
 def _midpoint(lo, hi):
-    """The bisection's split point of the bracket ``[lo, hi]``."""
-    return 0.5 * (lo + hi)
+    """The bisection's split point of the bracket ``[lo, hi]`` of non-negative doubles.
+
+    The midpoint of their int64 views, which order non-negative doubles as
+    their values do: each split halves the doubles left in the bracket.
+    """
+    a, b = lo.view(np.int64), hi.view(np.int64)
+    return (a + (b - a) // 2).view(float)
 
 
 def _tree_levels(open_count: int) -> int:
@@ -218,9 +224,15 @@ def _tree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
     return np.concatenate(mids)
 
 
-def _bisect(top, floor, ceiling, below) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect ``[0, top]`` per element until its own bracket is ``_INVERSION_EPS`` wide.
+def _open(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the brackets that still hold a double strictly between their ends."""
+    return hi.view(np.int64) - lo.view(np.int64) > 1
 
+
+def _bisect(top, floor, ceiling, below) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect ``[0, top]`` per element until ``lo`` and ``hi`` are adjacent doubles.
+
+    At most 62 steps, as ``[0, 1]`` holds fewer than ``2**62`` doubles.
     ``top`` is a float or one upper end per element.  Elements flagged
     ``floor`` stay at 0, the rest flagged ``ceiling`` at ``top``;
     ``below(mid, idx)`` flags open midpoints left of the answer.
@@ -234,7 +246,7 @@ def _bisect(top, floor, ceiling, below) -> tuple[np.ndarray, np.ndarray]:
     """
     lo = np.where(ceiling & ~floor, top, 0.0)
     hi = np.where(floor, 0.0, top)
-    while (idx := np.flatnonzero(hi - lo > _INVERSION_EPS)).size:
+    while (idx := np.flatnonzero(_open(lo, hi))).size:
         levels = _tree_levels(idx.size)
         mids = _tree_midpoints(lo[idx], hi[idx], levels)
         left = below(mids.ravel(), np.tile(idx, len(mids))).reshape(mids.shape)
@@ -244,7 +256,7 @@ def _bisect(top, floor, ceiling, below) -> tuple[np.ndarray, np.ndarray]:
             lo[at[go]] = mid[go]
             hi[at[~go]] = mid[~go]
             if level + 1 < levels:
-                keep = hi[at] - lo[at] > _INVERSION_EPS
+                keep = _open(lo[at], hi[at])
                 cols, node = np.arange(idx.size)[cols][keep], (2 * node + 1 + go)[keep]
     return lo, hi
 
@@ -259,30 +271,33 @@ def _invert_lower(n: np.ndarray, m: np.ndarray, hs: np.ndarray) -> np.ndarray:
 
     ``n``, ``m`` and ``hs`` are 1-D arrays of one length, one shape per
     entropy; the entropies are already clamped into ``[0, log2 n]``.
+    Returns the low end of the final bracket, a double whose ``H_max`` is
+    below ``h`` next to one whose ``H_max`` reaches it: a lower bound.
     """
-    lo, hi = _bisect(
+    lo, _ = _bisect(
         (n - m) / n,
-        hs <= _log2(m) + _INVERSION_EPS,
-        hs >= _log2(n) - _INVERSION_EPS,
+        hs <= _log2(m),
+        hs >= _log2(n),
         lambda mid, idx: max_entropy_values(n[idx], m[idx], mid) < hs[idx],
     )
-    return 0.5 * (lo + hi)
+    return lo
 
 
 def _invert_upper(n: np.ndarray, m: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Greatest tail mass whose minimum entropy stays at or below ``hs``, per element.
 
-    Same arguments as :func:`_invert_lower`.
+    Same arguments as :func:`_invert_lower`.  Returns the high end of the
+    final bracket, a double whose ``H_min`` exceeds ``h`` next to one whose
+    ``H_min`` does not: an upper bound.  Any positive tail forces positive entropy, and only the uniform
+    distribution, at the ceiling, reaches ``log2 n``.
     """
-    top = (n - m) / n
-    target = hs + _INVERSION_EPS
-    lo, _ = _bisect(
-        top,
-        hs <= _INVERSION_EPS,  # any positive tail forces positive entropy
-        _min_entropy_values(n, m, top) <= target,
-        lambda mid, idx: _min_entropy_values(n[idx], m[idx], mid) <= target[idx],
+    _, hi = _bisect(
+        (n - m) / n,
+        hs == 0.0,
+        hs >= _log2(n),
+        lambda mid, idx: _min_entropy_values(n[idx], m[idx], mid) <= hs[idx],
     )
-    return lo
+    return hi
 
 
 class TightInverter:

@@ -8,7 +8,9 @@ Conventions used throughout the package:
 - ``pi`` denotes the total mass of the ``n - m`` unselected entries (the
   error probability of the optimal selection); ``1 - pi`` is the merit
   probability.
-- All entropies are base-2 and ``0 * log2(0)`` counts as exactly ``0``.
+- All entropies are base-2 and ``0 * log2(0)`` counts as exactly ``0``;
+  every positive probability, subnormals included, contributes its
+  ``-p*log2(p)``.
 - A sorted distribution with head mass ``1 - pi`` and tail mass ``pi``
   exists iff the head mean dominates the tail mean:
   ``(1 - pi)/m >= pi/(n - m)``, i.e. ``pi <= (n - m)/n``.
@@ -36,10 +38,6 @@ from .errors import (
 
 #: Default tolerance for normalization / ordering / bound comparisons.
 DEFAULT_TOLERANCE = 1e-9
-
-#: Probabilities at or below this count as zeros in :func:`entropy_terms`, the
-#: one place the floor touches entropy, so float dust adds no -x*log2(x) noise.
-ZERO_FLOOR = 1e-15
 
 _DEFAULT_MAX_STATES = 10_000_000
 
@@ -74,9 +72,9 @@ def validate_counts(n: int, m: int) -> None:
 
 
 def entropy_terms(x) -> np.ndarray:
-    """Elementwise ``-x*log2(x)``, +0.0 at or below :data:`ZERO_FLOOR`, for negatives and NaN."""
+    """Elementwise ``-x*log2(x)`` for every ``x > 0``; +0.0 for zeros, negatives and NaN."""
     x = np.asarray(x, dtype=float)
-    live = x > ZERO_FLOOR
+    live = x > 0.0
     out = np.zeros(x.shape)  # filled in place: the mask is the only temporary
     np.log2(x, out=out, where=live)
     np.multiply(out, x, out=out, where=live)
@@ -211,19 +209,14 @@ def sorted_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Base-2 entropy of each row of a 2-D block of valid probabilities.
 
-    Each row sums its :func:`entropy_terms`.  A row with entries at or below
-    :data:`ZERO_FLOOR` sums its other entries alone, which groups the
-    pairwise sum as a sum of just them does.  A -0.0 sum comes back +0.0.
+    Each row sums its :func:`entropy_terms`; a -0.0 sum comes back +0.0.
     """
-    terms = entropy_terms(probs)
-    sums = terms.sum(axis=1)
-    for row in np.flatnonzero(~(probs > ZERO_FLOOR).all(axis=1)):
-        sums[row] = terms[row][probs[row] > ZERO_FLOOR].sum()
+    sums = entropy_terms(probs).sum(axis=1)
     return np.where(sums > 0.0, sums, 0.0)
 
 
 def entropy(dist: SortedDistribution) -> float:
-    """Base-2 entropy in bits; entries at or below :data:`ZERO_FLOOR` contribute zero."""
+    """Base-2 entropy in bits; every positive entry contributes, however small."""
     return float(entropy_rows(dist.probs[None])[0])
 
 

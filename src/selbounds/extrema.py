@@ -51,12 +51,18 @@ and then moves left to ``r2`` without overshooting it, because a concave
 function lies under its tangents.
 :func:`min_entropy_values` evaluates these junctions and the right
 endpoint; since junctions near ``r2`` can tie within rounding, it also
-evaluates a few more neighbours of ``r2``.
+evaluates a few more neighbours of ``r2``.  For ``m = 1`` the staircase
+``p_hat = 1 - pi`` majorizes every feasible distribution, so the right
+endpoint alone is the minimum.
 
-For ``m >= 2`` every candidate entropy, whether a search candidate, a curve
-point or the right endpoint inside :func:`min_entropy_values`, comes from
-one closed-form kernel over one tail split, so no n-length distribution is
-built per candidate; only the distribution a caller reads is assembled.
+Every candidate entropy, whether a search candidate, a curve point or the
+right endpoint inside :func:`min_entropy_values`, comes from one
+closed-form kernel over one exact tail split, so no n-length distribution
+is built per candidate; only the distribution a caller reads is
+assembled.  The split gives a junction ``p_hat = pi/s`` its ``s`` full
+slots, so every junction, wherever it is evaluated, has the one value
+``(m-1+s)*fe(pi/s) + fe((1-pi)-(m-1)*pi/s)``.  No mass is snapped: the
+only point mass is ``pi = 0``.
 
 The number of interior junctions is
 ``ceil((n - m - n*pi)/(1 - pi))`` clamped to ``[0, n - m]``.
@@ -72,17 +78,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCE,
-    ZERO_FLOOR,
     SortedDistribution,
     SystemShape,
     built_internally,
     entropy_terms,
 )
 from .errors import BadConfigError, BadMError, BadPHatError, InfeasibleError
-
-#: Remainders within this of 0 (or of a full p_hat slot) are snapped, so
-#: float drift in pi/p_hat never creates a spurious extra tail slot.
-REMAINDER_SNAP = 1e-12
 
 
 def max_entropy_distribution(shape: SystemShape) -> SortedDistribution:
@@ -99,16 +100,16 @@ def max_entropy_distribution(shape: SystemShape) -> SortedDistribution:
 
 
 def max_entropy_values(n, m, pis: np.ndarray) -> np.ndarray:
-    """:func:`max_entropy` over many tail masses (no tail term at pi <= ZERO_FLOOR).
+    """:func:`max_entropy` over many tail masses.
 
     ``n`` and ``m`` are integers or integer arrays of the shape of ``pis``,
-    one shape per tail mass.
+    one shape per tail mass.  Written as ``fe(1-pi) + fe(pi)`` plus the
+    segment sizes' ``(1-pi)*log2(m) + pi*log2(n-m)``, it never divides by
+    ``pi``, so it cannot overflow at any ``pi >= 0``.
     """
     pis = np.asarray(pis, dtype=float)
-    tail = pis > ZERO_FLOOR
-    ratio = np.divide(n - m, pis, out=np.ones(pis.shape), where=tail)
-    value = (1.0 - pis) * np.log2(m / (1.0 - pis))
-    return np.maximum(value + np.where(tail, pis * np.log2(ratio), 0.0), 0.0)
+    sizes = (1.0 - pis) * np.log2(m) + pis * np.log2(np.maximum(n - m, 1))
+    return np.maximum(entropy_terms(1.0 - pis) + entropy_terms(pis) + sizes, 0.0)
 
 
 def max_entropy_value(n: int, m: int, pi: float) -> float:
@@ -125,88 +126,67 @@ def max_entropy(shape: SystemShape) -> float:
     return max_entropy_value(shape.n, shape.m, shape.pi)
 
 
-def _staircase(n: int, pi: float) -> tuple[float, int, float]:
-    """``(step, copies, remainder)`` of the m = 1 staircase, for pi > 0.
-
-    The remainder ``1 - copies*(1-pi)`` is taken from pi as
-    ``pi - (copies-1)*step``, which is pi itself for one copy and cancels
-    nothing: for two or more copies pi is at least 1/2 up to the snap, so
-    ``step`` is exact.
-    """
-    step = 1.0 - pi
-    copies = min(int(1.0 / step + REMAINDER_SNAP), n)
-    remainder = pi - (copies - 1) * step
-    if remainder < REMAINDER_SNAP:
-        remainder = 0.0
-    return step, copies, remainder
-
-
 def min_entropy_m1(n: int, pi: float) -> SortedDistribution:
     """Minimum-entropy distribution for a single selected slot (m = 1).
 
     The optimum is a staircase: as many full copies of ``1 - pi`` as fit,
-    one remainder entry, then zeros.
+    one remainder entry, then zeros; that is the candidate at
+    ``p_hat = 1 - pi``.
     """
     shape = SystemShape(n, 1, pi)  # validates and snaps pi
-    pi = shape.pi
-    probs = np.zeros(n)
-    if pi < REMAINDER_SNAP:
-        probs[0] = 1.0
-    else:
-        step, copies, remainder = _staircase(n, pi)
-        probs[:copies] = step
-        if remainder > 0.0:
-            probs[copies] = remainder
-    with built_internally("staircase distribution"):
-        return SortedDistribution(probs)
+    if n == 1:
+        return SortedDistribution(np.ones(1))
+    return assemble_min_candidate(shape, 1.0 - shape.pi)
 
 
 def _index_bound(n: int, m: int, pi: float) -> int:
     """Number of interior junction candidates for shape (n, m, pi)."""
     if 1.0 - pi <= 0.0:
         return 0
-    y = math.ceil((n - m - n * pi) / (1.0 - pi) - REMAINDER_SNAP)
+    y = math.ceil((n - m - n * pi) / (1.0 - pi))
     return max(0, min(y, n - m))
 
 
 def candidate_set(shape: SystemShape) -> np.ndarray:
     """Discrete p_hat values among which the entropy minimum must lie.
 
-    Emits ``pi/(n-m-j+1)`` for ``j = 1..y`` plus the right endpoint
-    ``(1-pi)/m``, clipped into ``[pi/(n-m), (1-pi)/m]`` and ascending.  Only
-    equal values are merged: at small ``pi`` distinct junctions lie closer
-    than any fixed tolerance.
+    Emits every valid junction ``pi/s`` (at most the right endpoint
+    ``(1-pi)/m``, the test :func:`min_entropy_values` makes), ascending,
+    then that endpoint.  Only equal values are merged: at small ``pi``
+    distinct junctions lie closer than any fixed tolerance.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     if m < 2:
         raise BadMError("candidate_set requires m >= 2; m = 1 uses the staircase")
-    if pi <= ZERO_FLOOR:
+    if pi <= 0.0:
         raise InfeasibleError("candidate_set requires pi > 0 (pi = 0 is degenerate)")
-    y = _index_bound(n, m, pi)
     hi = (1.0 - pi) / m
-    junctions = pi / np.arange(n - m, n - m - y, -1)  # j = 1..y, ascending
-    values = np.clip(np.append(junctions, hi), pi / (n - m), hi)
+    junctions = pi / np.arange(n - m, 0, -1)  # ascending
+    values = np.append(junctions[junctions <= hi], hi)
     return values[np.append(True, np.diff(values) > 0)]
 
 
 def _tail_split(pi, p_hat):
-    """Split tail mass pi into full p_hat slots plus a snapped remainder.
+    """Split tail mass pi into full p_hat slots plus a remainder in ``[0, p_hat)``.
 
     Elementwise over broadcast ``pi`` and ``p_hat``; scalar inputs return
-    ``(int, float)``.  A remainder below ``REMAINDER_SNAP`` becomes 0 (so
-    ``pi < REMAINDER_SNAP`` holds no slots); otherwise one above
-    ``p_hat - REMAINDER_SNAP`` becomes one more full slot.
+    ``(int, float)``.  A junction ``p_hat = pi/s`` is exactly ``s`` full
+    slots.  Any other ``p_hat > 0`` takes ``copies = floor(pi/p_hat)`` and
+    ``rem = pi - copies*p_hat``, moving one slot where rounding leaves
+    ``rem`` outside ``[0, p_hat)``.  ``p_hat = 0`` holds an empty tail.
     """
     pi, p_hat = np.broadcast_arrays(
         np.asarray(pi, dtype=float), np.asarray(p_hat, dtype=float)
     )
-    ratio = np.divide(pi, p_hat, out=np.zeros(pi.shape), where=pi >= REMAINDER_SNAP)
-    copies = np.floor(ratio)
-    remainder = pi - copies * p_hat
-    small = remainder < REMAINDER_SNAP
-    full = ~small & (remainder > p_hat - REMAINDER_SNAP)
-    copies = (copies + full).astype(np.int64)
-    remainder = np.where(small | full, 0.0, remainder)
+    live = p_hat > 0.0
+    ratio = np.divide(pi, p_hat, out=np.zeros(pi.shape), where=live)
+    slots = np.maximum(np.rint(ratio), 1.0)
+    junction = live & (pi / slots == p_hat)
+    copies = np.where(junction, slots, np.floor(ratio))
+    remainder = np.where(junction | ~live, 0.0, pi - copies * p_hat)
+    below, above = remainder < 0.0, live & (remainder >= p_hat)
+    copies = (copies + above - below).astype(np.int64)
+    remainder = np.where(below, remainder + p_hat, np.where(above, remainder - p_hat, remainder))
     if copies.ndim == 0:
         return int(copies), float(remainder)
     return copies, remainder
@@ -217,13 +197,11 @@ def _candidate_entropies(m: int, pi, p_hats) -> np.ndarray:
 
     Closed form ``(m-1+copies)*fe(p) + fe((1-pi)-(m-1)*p) + fe(rem)`` over
     broadcast ``pi`` and ``p_hats``, where ``copies``/``rem`` is the tail
-    split; as in the assembly, the tail is empty where ``p <= ZERO_FLOOR``.
+    split; at a junction ``p = pi/s`` the last term is ``fe(0) = +0.0``, so
+    the value is the junction expression bit for bit.
     """
     p = np.asarray(p_hats, dtype=float)
-    live = p > ZERO_FLOOR
-    copies, rem = _tail_split(pi, np.where(live, p, 1.0))
-    copies = np.where(live, copies, 0)
-    rem = np.where(live, rem, 0.0)
+    copies, rem = _tail_split(pi, p)
     head = entropy_terms((1.0 - pi) - (m - 1) * p)
     return (m - 1 + copies) * entropy_terms(p) + head + entropy_terms(rem)
 
@@ -249,7 +227,9 @@ def assemble_min_candidate(
 
     Head: one balancing entry ``(1-pi) - (m-1)*p_hat`` followed by
     ``m - 1`` copies of ``p_hat``.  Tail: full ``p_hat`` slots, the
-    remainder ``pi mod p_hat``, then zeros.
+    remainder ``pi mod p_hat``, then zeros (see :func:`_tail_split`).  A
+    remainder with no slot left past ``n - m`` full ones is the rounding of
+    ``pi - (n-m)*p_hat`` at the left endpoint and is not stored.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     if m == n:
@@ -265,11 +245,10 @@ def assemble_min_candidate(
     probs = np.zeros(n)
     probs[0] = (1.0 - pi) - (m - 1) * p_hat
     probs[1:m] = p_hat
-    if p_hat > ZERO_FLOOR:
+    if p_hat > 0.0:
         copies, remainder = _tail_split(pi, p_hat)
         probs[m : m + copies] = p_hat
-        if remainder > 0.0:
-            probs[m + copies] = remainder
+        probs[m + copies : m + copies + 1] = remainder
     with built_internally("minimum-entropy candidate"):
         return SortedDistribution(probs)
 
@@ -326,13 +305,13 @@ class CandidateEvaluation:
     def distribution(self) -> SortedDistribution:
         """The candidate distribution, built on access.
 
-        A point mass when ``pi < REMAINDER_SNAP`` and the staircase when
-        ``m = 1`` (:func:`min_entropy_m1` covers both), otherwise
-        :func:`assemble_min_candidate` at ``p_hat``.
+        :func:`assemble_min_candidate` at ``p_hat``: the point mass at
+        ``pi = 0`` (``p_hat = 0``), the staircase when ``m = 1``.  With
+        ``m = n`` there is no tail, and the point mass is built directly.
         """
         shape = self.shape
-        if shape.m == 1 or shape.pi < REMAINDER_SNAP:
-            return min_entropy_m1(shape.n, shape.pi)
+        if shape.m == shape.n:
+            return min_entropy_m1(shape.n, 0.0)
         return assemble_min_candidate(shape, self.p_hat)
 
 
@@ -361,21 +340,17 @@ def min_entropy(shape: SystemShape) -> MinEntropyResult:
     ``pi = 0`` short-circuits to a point mass (entropy 0); ``m = 1`` has
     the single candidate ``p_hat = 1 - pi``, the staircase.  Otherwise the
     entropy of every :func:`candidate_set` value comes from one closed-form
-    kernel call and the lowest-index argmin is returned.  No distribution
-    is built until a caller reads one.
+    kernel call and the lowest-index argmin is returned; its value is
+    :func:`min_entropy_value`'s (see there).  No distribution is built
+    until a caller reads one, and the argmin is built from the candidate
+    that won.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     y = _index_bound(n, m, pi)
-    if pi < REMAINDER_SNAP:
+    if pi == 0.0:
         p_hats = bits = np.zeros(1)
-    elif m == 1:
-        # The entropy of the entries min_entropy_m1 builds, so the reported
-        # bits always describe the reported distribution.
-        step, copies, remainder = _staircase(n, pi)
-        bits = np.array([copies * entropy_terms(step) + entropy_terms(remainder)])
-        p_hats = np.array([step])
     else:
-        p_hats = candidate_set(shape)
+        p_hats = candidate_set(shape) if m > 1 else np.array([1.0 - pi])
         bits = _blockwise(lambda p: _candidate_entropies(m, pi, p), p_hats, float)
     argmin = int(np.argmin(bits))
     candidates = ColumnRows(
@@ -406,7 +381,7 @@ _CANDIDATE_OFFSETS = np.array(
 def _junction_candidates(n, m, pis: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """Slot counts ``s``, one row per candidate, whose junctions hold the minimum.
 
-    ``cap`` is the validity limit ``(1-pi)/m + REMAINDER_SNAP`` on ``pi/s``.
+    ``cap`` is the validity limit ``(1-pi)/m`` on ``pi/s``.
     The rows are ``floor(pi/cap) + 0, 1, 2``, which hold the first valid
     count ``ceil(pi/cap)`` whatever the rounding of ``pi/cap``;
     ``floor(r2) + 0, 1`` for the upper root ``r2`` of ``d`` (module
@@ -416,18 +391,20 @@ def _junction_candidates(n, m, pis: np.ndarray, cap: np.ndarray) -> np.ndarray:
 
     ``r2`` is found by Newton on ``e = s - s_c``, where ``d`` reads
     ``c*ln(a*(e+c)) - s_c - e`` with ``c = m-1``, ``a = (1-pi)/pi`` and
-    ``d' = -e/(e+c)``.  The iterate is kept at ``e >= 1/2``, so ``d'`` never
+    ``d' = -e/(e+c)``; ``ln(a*(e+c))`` is taken as
+    ``ln(1-pi) - ln(pi) + ln(e+c)``, as ``a`` overflows for subnormal
+    ``pi``.  The iterate is kept at ``e >= 1/2``, so ``d'`` never
     vanishes.  That cannot lose the minimum: a root within ``1/2`` of
     ``s_c`` lies within one slot of ``floor(s_c + 1/2)``.  Where ``d`` has
     no root the iterate only adds junctions to the minimum.
     """
     c = m - 1
     s_c = c / (1.0 - pis)
-    a = (1.0 - pis) / pis
+    log_a = np.log(1.0 - pis) - np.log(pis)
     e = np.maximum((n - m) - s_c, 0.5)
     for _ in range(_NEWTON_STEPS):
         v = e + c
-        e = np.maximum(e + (c * np.log(a * v) - s_c - e) * v / e, 0.5)
+        e = np.maximum(e + (c * (log_a + np.log(v)) - s_c - e) * v / e, 0.5)
     base = np.floor(np.stack([pis / cap, s_c + e]))
     cols = base[_CANDIDATE_ROWS] + _CANDIDATE_OFFSETS
     return np.minimum(np.maximum(cols, 1.0), n - m)
@@ -447,22 +424,24 @@ def min_entropy_values(n, m, pis: np.ndarray) -> np.ndarray:
     is the lowest valid junction.  Each junction is evaluated with the
     expression a scan over all of them used,
     ``(m-1+s)*fe(pi/s) + fe((1-pi)-(m-1)*pi/s)``, and is valid where
-    ``pi/s <= (1-pi)/m + REMAINDER_SNAP``; each result depends only on its
-    own pi.  Where more junctions around the root than the window holds lie
-    within rounding of each other, the minimum can differ from such a
-    scan's in the last bit (seen only at pi below 1e-9).  For ``m >= 2`` it
-    equals :func:`min_entropy` bit for bit while every junction ``pi/s`` is
-    at least ``REMAINDER_SNAP``; below that the kernel's snap can drop a
-    tail slot that the junction values keep.  Used by the bisection that
-    inverts the minimum-entropy curve.  Where ``m = n`` the tail mass is
-    clipped to 0 and the value is 0.
+    ``pi/s <= (1-pi)/m``; for ``m = 1`` only the right endpoint counts
+    (module docstring).  Each result depends only on its own pi.  Where
+    more junctions around the root than the window holds lie within
+    rounding of each other, the minimum can differ from such a scan's in
+    the last bit (seen only at pi below 1e-9).  It equals
+    :func:`min_entropy`, which evaluates every junction alike, bit for bit,
+    except where the rounding of the head entry ``1 - pi - (m-1)*pi/s``
+    (about 1e-16 bits) outweighs the gaps between junctions far from the
+    root, seen only below about 1e-12 of the ceiling ``(n-m)/n``.  Used by
+    the bisection that inverts the minimum-entropy curve.  Where ``m = n`` the
+    tail mass is clipped to 0 and the value is 0.
     """
     pis = np.asarray(pis, dtype=float)
     # as floats: every use is float arithmetic, exact on these integers
     n, m = np.full(pis.shape, n, dtype=float), np.full(pis.shape, m, dtype=float)
     pis = np.clip(pis, 0.0, (n - m) / n)
     out = np.zeros(pis.shape)
-    active = pis >= REMAINDER_SNAP
+    active = pis > 0.0
     if not active.any():
         return out
     n, m, pa = n[active], m[active], pis[active]
@@ -470,11 +449,10 @@ def min_entropy_values(n, m, pis: np.ndarray) -> np.ndarray:
     best = _candidate_entropies(m, pa, hi)
     # At junction s the tail holds exactly s full slots and no remainder,
     # so the junctions skip the kernel's tail split.
-    cap = hi + REMAINDER_SNAP
-    slots = _junction_candidates(n, m, pa, cap)
+    slots = _junction_candidates(n, m, pa, hi)
     ph = pa / slots
     vals = (m - 1 + slots) * entropy_terms(ph) + entropy_terms((1.0 - pa) - (m - 1) * ph)
-    vals = np.where(ph <= cap, vals, np.inf)
+    vals = np.where((ph <= hi) & (m > 1), vals, np.inf)
     out[active] = np.maximum(np.minimum(best, vals.min(axis=0)), 0.0)
     return out
 
@@ -508,7 +486,7 @@ def piecewise_curve(shape: SystemShape, samples: int) -> ColumnRows:
     n, m, pi = shape.n, shape.m, shape.pi
     if m < 2:
         raise BadMError("piecewise_curve requires m >= 2")
-    if pi <= ZERO_FLOOR:
+    if pi <= 0.0:
         raise InfeasibleError("piecewise_curve requires pi > 0")
     if samples < 2:
         raise BadConfigError(f"samples must be >= 2, got {samples}")

@@ -24,7 +24,6 @@ from .bounds import _analytic_bounds, _clamp, _invert_lower, _invert_upper
 from .core import (
     _DEFAULT_MAX_STATES,
     DEFAULT_TOLERANCE,
-    ZERO_FLOOR,
     SortedDistribution,
     SystemShape,
     built_internally,
@@ -187,7 +186,7 @@ def sample_feasible(shape: SystemShape, rng: np.random.Generator) -> SortedDistr
     if m == n:
         probs = head
     else:
-        if pi <= ZERO_FLOOR:
+        if pi <= 0.0:
             tail = np.zeros(n - m)
         else:
             tail = np.sort(rng.dirichlet(np.ones(n - m)))[::-1] * pi
@@ -407,9 +406,9 @@ def _extreme_point_scan(n: int, m: int, pi: float) -> float:
     best = math.inf
     for a, b, v1, v2 in _two_level_extreme_points(n, m, pi):
         total = 0.0
-        if v1 > ZERO_FLOOR:
+        if v1 > 0.0:
             total -= a * v1 * math.log2(v1)
-        if v2 > ZERO_FLOOR:
+        if v2 > 0.0:
             total -= (b - a) * v2 * math.log2(v2)
         best = min(best, total)
     return best

@@ -5,7 +5,8 @@ are evaluated in 50-digit arithmetic, chains are plain Python loops, and
 the feasible-polytope sampler is a separate numpy implementation.  The
 analytic bounds and the sweep are kept as the earlier scalar, per-record
 code, and ``H_min`` as the earlier scan over every junction, so the
-batched library paths can be checked bit for bit against them.
+batched library paths can be checked bit for bit against them.  The tight
+bounds' true values come from 50-digit bisections of the 50-digit curves.
 """
 
 from __future__ import annotations
@@ -19,13 +20,23 @@ from mpmath import mp, mpf, log
 import selbounds.oracle as oracle
 from selbounds.bounds import TightInverter
 from selbounds.core import entropy, entropy_terms, tail_probability
-from selbounds.extrema import REMAINDER_SNAP, _candidate_entropies
+from selbounds.extrema import _candidate_entropies
 
 mp.dps = 50
 
 
 def mp_log2(x):
     return log(x) / log(2)
+
+
+def _mp(x):
+    """An mpf as it is; a float as the 50-digit value of its shortest repr."""
+    return x if isinstance(x, mp.mpf) else mpf(repr(float(x)))
+
+
+def _mp_fe_near_one(d):
+    """``-(1-d)*log2(1-d)`` through ``log1p``, so no ``d`` is too small to count."""
+    return -(1 - d) * mp.log1p(-d) / log(2)
 
 
 def mp_entropy(values) -> float:
@@ -40,11 +51,16 @@ def mp_entropy(values) -> float:
 
 def mp_max_entropy(n, m, pi) -> float:
     """High-precision closed form for the maximum entropy."""
-    pi = mpf(repr(float(pi)))
-    total = (1 - pi) * mp_log2(mpf(m) / (1 - pi))
+    return float(mp_h_max(n, m, pi))
+
+
+def mp_h_max(n, m, pi):
+    """50-digit ``H_max`` at a float or mpf tail mass, as an mpf."""
+    pi = _mp(pi)
+    total = (1 - pi) * mp_log2(m) + _mp_fe_near_one(pi)
     if pi > 0:
         total += pi * mp_log2(mpf(n - m) / pi)
-    return float(total)
+    return total
 
 
 def mp_min_entropy_m1(n, pi) -> float:
@@ -53,14 +69,18 @@ def mp_min_entropy_m1(n, pi) -> float:
     As many full steps of ``1 - pi`` as fit in 1 (at most ``n``), then the
     exact remainder.
     """
-    pi = mpf(repr(float(pi)))
+    return float(_mp_staircase(n, pi))
+
+
+def _mp_staircase(n, pi):
+    pi = _mp(pi)
     step = 1 - pi
     copies = min(int(mp.floor(1 / step)), n)
-    rest = 1 - copies * step
-    total = -copies * step * mp_log2(step)
+    rest = pi - (copies - 1) * step
+    total = copies * _mp_fe_near_one(pi)
     if rest > 0:
         total -= rest * mp_log2(rest)
-    return float(total)
+    return total
 
 
 def mp_min_entropy(n, m, pi, slots=None) -> float:
@@ -72,12 +92,28 @@ def mp_min_entropy(n, m, pi, slots=None) -> float:
     copies of ``p`` plus the balancing entry.  ``slots`` limits the
     junctions to those counts (default every ``s = 1..n-m``).
     """
-    pi = mpf(repr(float(pi)))
+    return float(_mp_junction_min(n, m, pi, slots))
+
+
+def mp_h_min(n, m, pi):
+    """50-digit ``H_min`` at a float or mpf tail mass, as an mpf.
+
+    The staircase for ``m = 1``; otherwise the right endpoint and the
+    junctions of :func:`near_min_slots`.
+    """
+    if _mp(pi) <= 0 or m == n:
+        return mpf(0)
+    if m == 1:
+        return _mp_staircase(n, pi)
+    return _mp_junction_min(n, m, pi, near_min_slots(n, m, pi).tolist())
+
+
+def _mp_junction_min(n, m, pi, slots):
+    pi = _mp(pi)
     hi = (1 - pi) / m
 
     def bits(p, tail):
-        head = (1 - pi) - (m - 1) * p
-        return -head * mp_log2(head) - (m - 1) * p * mp_log2(p) + tail
+        return _mp_fe_near_one(pi + (m - 1) * p) - (m - 1) * p * mp_log2(p) + tail
 
     copies = min(int(mp.floor(pi / hi)), n - m)
     rest = pi - copies * hi
@@ -86,26 +122,29 @@ def mp_min_entropy(n, m, pi, slots=None) -> float:
         p = pi / s
         if p <= hi:
             best = min(best, bits(p, -pi * mp_log2(p)))
-    return float(best)
+    return best
 
 
 def scan_min_entropy_values(n, m, pis) -> np.ndarray:
     """``H_min`` by scanning every junction ``s = 1..n-m`` for each pi.
 
     The earlier library kernel, kept as the reference for the few-junction
-    one: the right endpoint through the library's candidate kernel, then
-    each junction ``pi/s`` valid under ``pi/s <= (1-pi)/m + REMAINDER_SNAP``
+    one: the right endpoint through the library's candidate kernel, then,
+    for ``m >= 2``, each junction ``pi/s`` valid under ``pi/s <= (1-pi)/m``
     with the same float expression, in chunks of at most ``2**22`` cells.
     """
     pis = np.clip(np.asarray(pis, dtype=float), 0.0, (n - m) / n)
     out = np.zeros(pis.shape)
     if m == n:
         return out
-    active = pis >= REMAINDER_SNAP
+    active = pis > 0.0
     if not active.any():
         return out
     pa = pis[active]
     best = _candidate_entropies(m, pa, (1.0 - pa) / m)
+    if m == 1:  # the staircase majorizes every junction
+        out[active] = np.maximum(best, 0.0)
+        return out
     js = np.arange(1, n - m + 1)
     slots = (n - m - js + 1).astype(float)
     block = max(1, (1 << 22) // len(js))
@@ -115,12 +154,66 @@ def scan_min_entropy_values(n, m, pis) -> np.ndarray:
         head_rest = (1.0 - chunk) - (m - 1) * ph_j
         vals = (n - js)[None, :] * entropy_terms(ph_j) + entropy_terms(head_rest)
         hi = (1.0 - chunk) / m
-        vals = np.where(ph_j <= hi + REMAINDER_SNAP, vals, np.inf)
+        vals = np.where(ph_j <= hi, vals, np.inf)
         best[start : start + block] = np.minimum(
             best[start : start + block], vals.min(axis=1)
         )
     out[active] = np.maximum(best, 0.0)
     return out
+
+
+def near_min_slots(n, m, pi) -> np.ndarray:
+    """Junction counts whose entropy a float scan puts within 1e-9 (relative) of the lowest.
+
+    Scans every ``s = 1..n-m`` with plain numpy; the head entry's term is
+    taken through ``log1p``, so each value keeps its relative precision at
+    any ``pi``.  The 50-digit minimum only needs these junctions.
+    """
+    pi = float(pi)
+    s = np.arange(1, n - m + 1, dtype=float)
+    s = s[pi / s <= (1.0 - pi) / m]
+    if not s.size:
+        return s.astype(int)
+    p = pi / s
+    moved = pi + (m - 1) * p  # mass outside the head's balancing entry
+    vals = -(m - 1 + s) * p * np.log2(p) - (1.0 - moved) * np.log1p(-moved) / math.log(2)
+    return s[vals <= vals.min() * (1.0 + 1e-9)].astype(int)
+
+
+def _mp_bisect(below, top):
+    """The crossing in ``(0, top]`` of a predicate true below it, to 1e-30 relative.
+
+    Bisects geometrically from ``1e-330``, under the least positive double,
+    so every tail mass gets the same relative precision.
+    """
+    lo, hi = mpf(10) ** -330, mpf(top)
+    while hi / lo - 1 > mpf(10) ** -30:
+        mid = mp.sqrt(lo * hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def mp_invert_lower(n, m, h):
+    """50-digit least tail mass whose maximum entropy reaches ``h``, by bisection."""
+    h, top = mpf(float(h)), mpf(n - m) / n
+    if h <= mp_log2(m):
+        return mpf(0)
+    if h >= mp_log2(n):
+        return top
+    return _mp_bisect(lambda pi: mp_h_max(n, m, pi) < h, top)
+
+
+def mp_invert_upper(n, m, h):
+    """50-digit greatest tail mass whose minimum entropy stays at or below ``h``, by bisection."""
+    h, top = mpf(float(h)), mpf(n - m) / n
+    if h <= 0 or m == n:
+        return mpf(0)
+    if mp_h_min(n, m, top) <= h:
+        return top
+    return _mp_bisect(lambda pi: mp_h_min(n, m, pi) <= h, top)
 
 
 def chain_probability(probs, order) -> float:

@@ -11,27 +11,24 @@ from helpers import (
     batch_entropy,
     feasible_batch,
     mp_entropy,
+    mp_h_max,
+    mp_h_min,
+    mp_invert_lower,
+    mp_invert_upper,
     mp_log2,
-    mp_max_entropy,
+    mp_min_entropy,
     reference_analytic,
 )
 from selbounds.bounds import _analytic_bounds
+from selbounds.oracle import REFERENCE_SWEEP_SHAPES
 
 
 def mp_pi_lower(n, m, h) -> float:
     return float((mpf(h) - 1 - mp_log2(m)) / mp_log2(mpf(n) / m - 1))
 
 
-def mp_invert_max_entropy(n, m, h, iters=200) -> float:
-    """Bisection of the closed-form maximum entropy in 50-digit arithmetic."""
-    lo, hi = mpf(0), mpf(n - m) / n
-    for _ in range(iters):
-        mid = (lo + hi) / 2
-        if mp_max_entropy(n, m, float(mid)) < h:
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
+def mp_invert_max_entropy(n, m, h) -> float:
+    return float(mp_invert_lower(n, m, h))
 
 
 class TestEntropyLowerBound:
@@ -132,7 +129,7 @@ class TestTightBounds:
         # np.log2 rounds log2(m) one ulp away from math.log2 at these m; the
         # edge of the flat zero is taken from math.log2, as for one shape
         ms = np.array([1621, 3242, 6484, 12968])
-        hs = np.array([math.log2(m) + 1e-12 for m in ms.tolist()])
+        hs = np.array([math.log2(m) for m in ms.tolist()])
         assert bounds_mod._invert_lower(2 * ms + 1, ms, hs).tolist() == [0.0] * 4
         assert [sb.pi_bounds_tight(2 * m + 1, m, h)[0] for m, h in zip(ms, hs)] == [0.0] * 4
 
@@ -218,8 +215,9 @@ def one_level_bisect(top, floor, ceiling, below):
     """``_bisect`` with one ``below`` call per bisection level, as it was."""
     lo = np.where(ceiling & ~floor, top, 0.0)
     hi = np.where(floor, 0.0, top)
-    while (idx := np.flatnonzero(hi - lo > bounds_mod._INVERSION_EPS)).size:
-        mid = 0.5 * (lo[idx] + hi[idx])
+    while (idx := np.flatnonzero(hi.view(np.int64) - lo.view(np.int64) > 1)).size:
+        a, b = lo[idx].view(np.int64), hi[idx].view(np.int64)
+        mid = (a + (b - a) // 2).view(float)
         left = below(mid, idx)
         lo[idx[left]] = mid[left]
         hi[idx[~left]] = mid[~left]
@@ -450,3 +448,105 @@ class TestAnalyticReference:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def rounding_allowance(n, m, h, x, curve) -> float:
+    """How far the float kernels' rounding can move a tight bound from the true inverse ``x``.
+
+    Each kernel sums a few terms of one sign, so it is within a few ulps of
+    the curve, except that it takes the head entry's ``-y*log2(y)`` at
+    ``y = 1 - d`` rounded to a double, which drops up to ``min(d, 2**-52)``
+    of ``d <= m*x`` and so about ``log2(e)`` times that in bits (no
+    ``log1p`` form).  Those bits map to tail mass through the curve's
+    50-digit slope at ``x``; two ulps of ``x`` cover the final bracket.
+    """
+    bits = 2 * math.log2(math.e) * min(m * float(x), 2**-52) + 4 * 2**-53 * h
+    if curve == "max":
+        slope = mp_log2((1 - x) * (n - m) / (m * x))
+    else:
+        step = mpf(10) ** -20
+        slope = (mp_h_min(n, m, x * (1 + step)) - mp_h_min(n, m, x)) / (x * step)
+    return float(bits / slope) + 2 * math.ulp(float(x))
+
+
+class TestTightBoundsEncloseTheTrueInverse:
+    """Both tight bounds against 50-digit bisections of the 50-digit curves."""
+
+    @staticmethod
+    def _check(n, m, h):
+        inverter = sb.TightInverter(n, m)
+        for got, curve, invert in ((inverter.lower(h), "max", mp_invert_lower),
+                                   (inverter.upper(h), "min", mp_invert_upper)):
+            truth = invert(n, m, h)
+            if truth == 0 or truth == mpf(n - m) / n:  # flat at 0 or at the ceiling
+                assert got == float(truth), (n, m, h, curve)
+                continue
+            slack = rounding_allowance(n, m, h, truth, curve)
+            assert abs(got - truth) <= slack, (n, m, h, curve, got, float(truth), slack)
+
+    def test_log_uniform_tail_masses(self):
+        rng = np.random.default_rng(20)
+        shapes = [(10**6, 1), (10**6, 999_000), (10**6, 999_999), (2, 1), (3, 2)]
+        for _ in range(36):
+            n = int(10 ** rng.uniform(0.31, 4))
+            shapes.append((n, int(rng.integers(1, n))))
+        for n, m in shapes:
+            top = (n - m) / n
+            pi = float(10 ** rng.uniform(-300, math.log10(0.9 * top)))
+            for h in (float(mp_h_min(n, m, pi)), float(mp_h_max(n, m, pi))):
+                self._check(n, m, min(h, math.log2(n)))
+
+    def test_binary_shape_at_one_millibit(self):
+        # both bounds once missed the 50-digit root 6.515314290334e-05 by
+        # about 2e-13; the two kernels now agree bit for bit at (2, 1), so
+        # the bounds are the doubles on either side of one crossing
+        self._check(2, 1, 0.001)
+        lb, ub = sb.pi_bounds_tight(2, 1, 0.001)
+        assert lb == pytest.approx(6.515314290334e-05, rel=1e-12)
+        assert lb < ub <= np.nextafter(np.nextafter(lb, 1.0), 1.0)
+
+    @pytest.mark.parametrize("n, m, pi, bits", [(3000, 2, 1e-12, 4.78e-11),
+                                                (200, 10, 1e-14, 5.8e-13)])
+    def test_minimum_entropy_at_tiny_tail_mass(self, n, m, pi, bits):
+        # an entropy floor of 1e-15 once dropped these junctions' tails
+        # (1.44e-12 and 0.0 bits)
+        exact = mp_min_entropy(n, m, pi)
+        assert exact == pytest.approx(bits, rel=0.01)
+        got = sb.min_entropy_value(n, m, pi)
+        assert abs(got - exact) <= 2 * math.log2(math.e) * 2**-52, (got, exact)
+        self._check(n, m, got)
+
+    def test_floor_case_entropy_and_upper_bound(self):
+        # one weight 1 and 20,000 weights 1e-16: the floor reported 2.884e-12
+        # bits and an upper bound of 1.819e-12, below the observed 2.0e-12
+        weights = np.concatenate([[1.0], np.full(20_000, 1e-16)])
+        dist = sb.make_distribution(weights)
+        h = sb.entropy(dist)
+        assert h == pytest.approx(mp_entropy(dist.probs), rel=1e-12)
+        assert h == pytest.approx(1.092e-10, rel=1e-3)
+        report = sb.build_report(dist.n, 1, h, pi_observed=sb.tail_probability(dist, 1))
+        assert report.pi_observed == pytest.approx(2.0e-12, rel=1e-9)
+        assert report.pi_lb_tight <= report.pi_observed <= report.pi_ub_tight
+        self._check(dist.n, 1, h)
+
+
+class TestTightBoundGrid:
+    """The tight bounds over 2,001 entropies from 0 to log2 n, per shape."""
+
+    SHAPES = [(2, 1), (3, 1), (7, 7), (10_000, 3), *REFERENCE_SWEEP_SHAPES]
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_sandwich_monotone_and_ends(self, n, m):
+        hs = np.linspace(0.0, math.log2(n), 2001)
+        hs[-1] = math.log2(n)
+        inverter = sb.TightInverter(n, m)
+        lb, ub = inverter.lower(hs), inverter.upper(hs)
+        lb_analytic, ub_analytic = _analytic_bounds(n, m, hs)[:2]
+        top = (n - m) / n
+        assert (lb_analytic <= lb).all() and (ub <= ub_analytic).all()
+        # at (2, 1) H_min = H_max, so the two bounds meet up to their rounding
+        crossing = 1e-15 if (n, m) == (2, 1) else 0.0
+        assert (lb <= ub + crossing).all(), float((lb - ub).max())
+        assert (np.diff(lb) >= 0).all() and (np.diff(ub) >= 0).all()
+        assert lb[0] == ub[0] == 0.0 and lb[-1] == ub[-1] == top
+        assert (lb[hs <= math.log2(m)] == 0.0).all()

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -66,16 +67,16 @@ PAPER_FIGS_SEED_42_CSV = """\
 scenario_id,n,m,entropy_bits,pi_observed,pi_lb_analytic,pi_ub_analytic,pi_lb_tight,pi_ub_tight,violation
 0,20,6,3.53344496909,0.271632034289,0,0.7,0.194480559504,0.465906641911,false
 1,20,6,3.75767439895,0.366603534203,0.141290059736,0.7,0.27045235523,0.545460042072,false
-0,30,20,4.56756773849,0.120276381719,0,0.320981959432,0.0528839172272,0.271050137945,false
-1,30,20,4.57524422221,0.0908233068124,0,0.321521417833,0.0553381939326,0.271941539377,false
+0,30,20,4.56756773849,0.120276381719,0,0.320981959432,0.0528839172274,0.271050137945,false
+1,30,20,4.57524422221,0.0908233068124,0,0.321521417833,0.0553381939323,0.271941539377,false
 0,50,15,5.01200562532,0.326973433286,0.0859912315173,0.649341485326,0.245834443821,0.533892139817,false
 1,50,15,5.08833536526,0.366426055931,0.148434141512,0.659230553778,0.273757799044,0.558862759574,false
-0,100,60,6.12469095944,0.104166946059,0,0.37246781676,0.0397270194186,0.332091760181,false
-1,100,60,6.0723020148,0.0974557530602,0,0.369281828118,0.0274567336619,0.327366398746,false
-0,200,40,7.05507213682,0.481651595988,0.366572020967,0.74208876615,0.385615999433,0.698815923986,false
+0,100,60,6.12469095944,0.104166946059,0,0.37246781676,0.0397270194188,0.332091760182,false
+1,100,60,6.0723020148,0.0974557530602,0,0.369281828118,0.0274567336616,0.327366398747,false
+0,200,40,7.05507213682,0.481651595988,0.366572020967,0.74208876615,0.385615999433,0.698815923985,false
 1,200,40,7.05596800698,0.490597608155,0.367019956048,0.742182998381,0.38595141141,0.699274302623,false
-0,500,300,8.37579140126,0.0989023034709,0,0.374426878359,0.0235113585524,0.350031482178,false
-1,500,300,8.38280661129,0.0985759317596,0,0.374740482539,0.0249895871504,0.350487186186,false
+0,500,300,8.37579140126,0.0989023034709,0,0.374426878359,0.0235113585521,0.350031482178,false
+1,500,300,8.38280661129,0.0985759317596,0,0.374740482539,0.0249895871506,0.350487186187,false
 0,1000,400,9.30115233723,0.221477700731,0,0.560545715264,0.137255806014,0.52879731087,false
 1,1000,400,9.35768189875,0.235705318333,0,0.563952540822,0.155311519768,0.533628561733,false
 0,1500,1000,9.93491025661,0.0621859892332,0,0.314086391254,0,0.298899734185,false
@@ -83,8 +84,8 @@ scenario_id,n,m,entropy_bits,pi_observed,pi_lb_analytic,pi_ub_analytic,pi_lb_tig
 """
 
 #: ``sweep --config`` on SPIKY_SWEEP_CONFIG, byte for byte.  Every row
-#: holds entries at or below the 1e-15 entropy floor, and JSON prints each
-#: float in full, so a changed bit in a row's entropy shows.
+#: holds entries below 1e-15, each of which counts in its entropy, and JSON
+#: prints each float in full, so a changed bit in a row's entropy shows.
 SPIKY_SWEEP_CONFIG = (
     "shapes = 200:40, 1500:1000\nscenarios_per_shape = 3\nseed = 42\n"
     "sampler = spiky\nalpha = 0.05\n"
@@ -96,72 +97,72 @@ SPIKY_SWEEP_JSON = """\
       "scenario_id": 0,
       "n": 200,
       "m": 40,
-      "entropy_bits": 3.49239259496014,
+      "entropy_bits": 3.4923925949603087,
       "pi_observed": 0.00211938439427002,
       "pi_lb_analytic": 0.0,
-      "pi_ub_analytic": 0.3673478118217759,
+      "pi_ub_analytic": 0.36734781182179366,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.27066833324788614,
+      "pi_ub_tight": 0.2706683332482488,
       "violation": false
     },
     {
       "scenario_id": 1,
       "n": 200,
       "m": 40,
-      "entropy_bits": 3.2728697098173134,
+      "entropy_bits": 3.2728697098174515,
       "pi_observed": 0.0009494777930241473,
       "pi_lb_analytic": 0.0,
-      "pi_ub_analytic": 0.3850218094901594,
+      "pi_ub_analytic": 0.3850218094901334,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.25037569463456755,
+      "pi_ub_tight": 0.25037569463484605,
       "violation": false
     },
     {
       "scenario_id": 2,
       "n": 200,
       "m": 40,
-      "entropy_bits": 4.399070463409065,
+      "entropy_bits": 4.3990704634090765,
       "pi_observed": 0.01682224022194539,
       "pi_lb_analytic": 0.0,
-      "pi_ub_analytic": 0.4627168523708227,
+      "pi_ub_analytic": 0.46271685237082394,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.3587513751597725,
+      "pi_ub_tight": 0.3587513751600186,
       "violation": false
     },
     {
       "scenario_id": 0,
       "n": 1500,
       "m": 1000,
-      "entropy_bits": 6.724444975346963,
+      "entropy_bits": 6.724444975347783,
       "pi_observed": 2.8210822549027065e-11,
       "pi_lb_analytic": 0.0,
-      "pi_ub_analytic": 0.32524678607620783,
+      "pi_ub_analytic": 0.32524678607612556,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.18116134060013184,
+      "pi_ub_tight": 0.18116134060060482,
       "violation": false
     },
     {
       "scenario_id": 1,
       "n": 1500,
       "m": 1000,
-      "entropy_bits": 7.265026031265806,
+      "entropy_bits": 7.265026031266742,
       "pi_observed": 6.934900603571257e-11,
       "pi_lb_analytic": 0.0,
-      "pi_ub_analytic": 0.2710030817697813,
+      "pi_ub_analytic": 0.27100308176968735,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.1989365266617824,
+      "pi_ub_tight": 0.19893652666221873,
       "violation": false
     },
     {
       "scenario_id": 2,
       "n": 1500,
       "m": 1000,
-      "entropy_bits": 6.8061863816691135,
+      "entropy_bits": 6.806186381669933,
       "pi_observed": 6.917011289922871e-11,
       "pi_lb_analytic": 0.0,
-      "pi_ub_analytic": 0.317044581012633,
+      "pi_ub_analytic": 0.31704458101255073,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.18381433731277258,
+      "pi_ub_tight": 0.1838143373133306,
       "violation": false
     }
   ],
@@ -173,25 +174,25 @@ SPIKY_SWEEP_JSON = """\
       "analytic": {
         "m_lt_half": {
           "records": 3,
-          "mean": 0.4050288245609193,
-          "median": 0.3850218094901594
+          "mean": 0.40502882456091704,
+          "median": 0.3850218094901334
         },
         "m_ge_half": {
           "records": 3,
-          "mean": 0.30443148295287403,
-          "median": 0.317044581012633
+          "mean": 0.3044314829527879,
+          "median": 0.31704458101255073
         }
       },
       "tight": {
         "m_lt_half": {
           "records": 3,
-          "mean": 0.29326513434740875,
-          "median": 0.27066833324788614
+          "mean": 0.29326513434770446,
+          "median": 0.2706683332482488
         },
         "m_ge_half": {
           "records": 3,
-          "mean": 0.18797073485822893,
-          "median": 0.18381433731277258
+          "mean": 0.18797073485871807,
+          "median": 0.1838143373133306
         }
       },
       "per_shape": [
@@ -199,19 +200,19 @@ SPIKY_SWEEP_JSON = """\
           "n": 200,
           "m": 40,
           "regime": "m_lt_half",
-          "mean_gap_analytic": 0.4050288245609193,
-          "median_gap_analytic": 0.3850218094901594,
-          "mean_gap_tight": 0.29326513434740875,
-          "median_gap_tight": 0.27066833324788614
+          "mean_gap_analytic": 0.40502882456091704,
+          "median_gap_analytic": 0.3850218094901334,
+          "mean_gap_tight": 0.29326513434770446,
+          "median_gap_tight": 0.2706683332482488
         },
         {
           "n": 1500,
           "m": 1000,
           "regime": "m_ge_half",
-          "mean_gap_analytic": 0.30443148295287403,
-          "median_gap_analytic": 0.317044581012633,
-          "mean_gap_tight": 0.18797073485822893,
-          "median_gap_tight": 0.18381433731277258
+          "mean_gap_analytic": 0.3044314829527879,
+          "median_gap_analytic": 0.31704458101255073,
+          "mean_gap_tight": 0.18797073485871807,
+          "median_gap_tight": 0.1838143373133306
         }
       ]
     }
@@ -898,6 +899,35 @@ class TestDeterminism:
         assert dest.read_text() == out
 
 
+class TestExactAtEveryMass:
+    """Masses and entropies far below 1e-12 keep every bit through the CLI."""
+
+    def test_tiny_weight_stays_under_the_tight_upper_bound(self, capsys, tmp_path):
+        # a 1e-15 entropy floor dropped the 2e-15 entry: ub_tight read 0.0
+        weights = tmp_path / "w.txt"
+        weights.write_text("1\n2e-15\n")
+        code, out, _ = run_cli(capsys, "bounds", "--dist", str(weights), "--m", "1")
+        doc = json.loads(out)
+        assert code == 0 and doc["pi_observed"] > 0.0
+        assert doc["pi"]["ub_tight"] >= doc["pi_observed"]
+
+    def test_tiny_entropy_has_a_positive_upper_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--n", "10", "--m", "3", "--entropy", "1e-13")
+        assert code == 0 and json.loads(out)["pi"]["ub_tight"] > 0.0
+
+    def test_argmin_keeps_a_tiny_tail(self, capsys):
+        # a 1e-12 snap made this argmin a point mass
+        code, out, _ = run_cli(capsys, "extrema", "--n", "3", "--m", "1", "--pi", "1e-13",
+                               "--which", "min")
+        probs = json.loads(out)["probs"]
+        assert code == 0 and math.fsum(probs[1:]) == 1e-13
+
+    def test_least_positive_entropy(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n", "10", "--m", "3", "--entropy", "5e-324")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pi"]["ub_tight"] > 0.0
+
+
 class _HeavyDirichlet:
     """A generator whose Dirichlet draws carry a mass defect of 1e-6."""
 
@@ -932,13 +962,13 @@ class TestInternalPrecisionLoss:
     def test_staircase(self, capsys, monkeypatch):
         import selbounds.extrema as extrema
 
-        exact = extrema._staircase
+        exact = extrema._tail_split
 
-        def defective(n, pi):
-            step, copies, remainder = exact(n, pi)
-            return step * (1.0 + 1e-6), copies, remainder
+        def defective(pi, p_hat):
+            copies, remainder = exact(pi, p_hat)
+            return copies, remainder * (1.0 + 1e-6)
 
-        monkeypatch.setattr(extrema, "_staircase", defective)
+        monkeypatch.setattr(extrema, "_tail_split", defective)
         self._exits_2(capsys, "extrema", "--n", "5", "--m", "1", "--pi", "0.3",
                       "--which", "min")
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import selbounds as sb
 from helpers import mp_entropy
-from selbounds.core import ZERO_FLOOR, entropy_rows, entropy_terms, sorted_rows
+from selbounds.core import entropy_rows, entropy_terms, sorted_rows
 
 weight_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -200,16 +200,17 @@ class TestKeyValueConfig:
 
 class TestEntropyTerms:
     def test_matches_the_masked_formula_bit_for_bit(self, rng):
-        edges = [0.0, -0.0, -1e-13, 1e-16, ZERO_FLOOR, np.nextafter(ZERO_FLOOR, 1.0), 0.5,
+        edges = [0.0, -0.0, -1e-13, 1e-16, 1e-15, np.nextafter(1e-15, 1.0), 0.5,
                  1.0, np.nan, 5e-324, 1e-300, -np.inf, np.inf]
         x = np.concatenate([edges, 10.0 ** rng.uniform(-320, 0, 5000), -rng.random(100)])
         # -x*log2(x) clipped at 0 and masked with np.where: the same values, by temporaries
         clipped = np.maximum(x, 0.0)
-        live = clipped > ZERO_FLOOR
+        live = clipped > 0.0
         want = np.where(live, -clipped * np.log2(np.where(live, clipped, 1.0)), 0.0)
         got = entropy_terms(x)
         assert got.tobytes() == want.tobytes()
-        assert not np.signbit(got[~(x > ZERO_FLOOR)]).any()  # +0.0 at the floor, below, NaN
+        assert not np.signbit(got[~(x > 0.0)]).any()  # +0.0 at zeros, negatives, NaN
+        assert (got[(x > 0.0) & (x < 1.0)] > 0.0).all()  # every probability counts, subnormals too
         assert float(entropy_terms(0.5)) == 0.5  # scalars too
 
 
@@ -246,9 +247,10 @@ class TestRowsMatchOneDimensionalPath:
             assert got.tobytes() == dist.probs.tobytes()
         want = np.array([sb.entropy(d) for d in dists])
         assert entropy_rows(probs[ok]).tobytes() == want.tobytes()
-        # the sum over just the entries above the floor, as a 1-D vector
-        kept = [d.probs[d.probs > ZERO_FLOOR] for d in dists]
-        ref = [max(0.0, float(-(k * np.log2(k)).sum())) for k in kept]
+        # the masked formula summed over the whole row, every positive entry counted
+        live = [(d.probs, d.probs > 0.0) for d in dists]
+        ref = [max(0.0, float(np.where(k, -p * np.log2(np.where(k, p, 1.0)), 0.0).sum()))
+               for p, k in live]
         assert want.tobytes() == np.array(ref).tobytes()
         for row, error in zip(rows, errors):
             if error is not None:
@@ -269,7 +271,8 @@ class TestRowsMatchOneDimensionalPath:
     def test_rows_with_entries_at_or_below_the_floor(self, n):
         rows = np.random.default_rng(n).gamma(0.02, size=(40, n))
         probs, ok = sorted_rows(rows)
-        assert ok.all() and (probs <= ZERO_FLOOR).any(axis=1).sum() >= 10
+        # entries at or below 1e-15, once an entropy floor, count like any other
+        assert ok.all() and (probs <= 1e-15).any(axis=1).sum() >= 10
         self._check_block(rows.tolist(), [None] * len(rows))
 
 

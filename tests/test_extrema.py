@@ -14,10 +14,9 @@ from helpers import (
     mp_max_entropy,
     mp_min_entropy,
     mp_min_entropy_m1,
+    near_min_slots,
     scan_min_entropy_values,
 )
-from selbounds.core import entropy_terms
-from selbounds.extrema import REMAINDER_SNAP
 
 
 def random_shape(rng, n_max=40):
@@ -153,9 +152,8 @@ class TestCandidateSet:
         assert bits == pytest.approx(mp_min_entropy(346, 2, shape.pi), rel=1e-12, abs=1e-15)
 
     def test_min_entropy_equals_fast_path_exactly(self):
-        # m >= 2, n <= 1000 and pi >= 1e-9*(n-m)/n keep every junction pi/s at
-        # or above REMAINDER_SNAP; there the search and the vectorized H_min
-        # that the tight bounds invert agree bit for bit
+        # the search and the vectorized H_min that the tight bounds invert
+        # agree bit for bit (every pi > 0: TestOneJunctionRule)
         rng = np.random.default_rng(7)
         for _ in range(1500):
             n = int(rng.integers(3, 1001))
@@ -164,6 +162,53 @@ class TestCandidateSet:
             shape = sb.SystemShape(n, m, float(top * 10 ** rng.uniform(-9, 0)))
             exact = sb.min_entropy(shape).min_entropy_bits
             assert exact == sb.min_entropy_value(n, m, shape.pi), (n, m, shape.pi)
+
+
+class TestOneJunctionRule:
+    """``min_entropy`` and ``min_entropy_value`` evaluate every junction alike."""
+
+    @staticmethod
+    def _agree(n, m, pi) -> bool:
+        """Whether the two agree bit for bit; where not, they must be within the head's rounding.
+
+        The head entry ``(1-pi) - (m-1)*pi/s`` is rounded before its term is
+        taken, which can move a junction's value by up to
+        ``log2(e)*min(m*pi, 2**-52)`` bits.  Where that exceeds the gaps
+        between junctions far from the root, a scan over every junction can
+        find a lower rounded value than the few around the root.
+        """
+        shape = sb.SystemShape(n, m, pi)
+        assert shape.pi > 0.0
+        exact = sb.min_entropy(shape).min_entropy_bits
+        fast = sb.min_entropy_value(n, m, shape.pi)
+        assert abs(exact - fast) <= 2 * math.log2(math.e) * min(m * pi, 2**-52), (n, m, pi)
+        return exact == fast
+
+    def test_shape_where_a_snapped_slot_once_split_them(self):
+        # 4.66004e-8 from the search against 4.66169e-8 from the kernel
+        assert self._agree(1970, 188, 1.0012e-9)
+
+    @pytest.mark.parametrize("decades, count", [(14, 3000), (300, 1500)])
+    def test_bit_for_bit_on_random_shapes(self, decades, count):
+        rng = np.random.default_rng(decades)
+        unequal = []
+        for _ in range(count):
+            n = int(rng.integers(2, 2001))
+            m = int(rng.integers(1, n))
+            pi = float((n - m) / n * 10 ** rng.uniform(-decades, 0))
+            if not self._agree(n, m, pi):
+                unequal.append(pi / ((n - m) / n))
+        # only where the head's rounding outweighs the junctions' gaps
+        assert len(unequal) <= count // 400 and max(unequal, default=0.0) < 1e-12
+
+    def test_argmin_keeps_the_whole_tail_mass(self, rng):
+        # below pi = 1e-12 the argmin was a point mass; above it its tail
+        # was off by up to 1.5e-12
+        for pi in np.concatenate([[1e-13, 1e-300, 5e-324], 10 ** rng.uniform(-15, -9, 20)]):
+            for n, m in ((3, 1), (50, 1), (50, 3), (2000, 188)):
+                dist = sb.min_entropy(sb.SystemShape(n, m, float(pi))).argmin_distribution
+                tail = math.fsum(dist.probs[m:])
+                assert tail == pytest.approx(float(pi), rel=4 * (n - m) * 2**-53), (n, m, pi)
 
 
 class TestFewJunctionKernel:
@@ -181,15 +226,6 @@ class TestFewJunctionKernel:
             [0.0, 1e-12, 2e-12, 1e-11, top],
         ])
 
-    @staticmethod
-    def _near_min_slots(n, m, pi):
-        """Junction counts whose float entropy is within 1e-14 of the lowest."""
-        s = np.arange(1, n - m + 1, dtype=float)
-        ph = pi / s
-        vals = (m - 1 + s) * entropy_terms(ph) + entropy_terms((1.0 - pi) - (m - 1) * ph)
-        vals = np.where(ph <= (1.0 - pi) / m + REMAINDER_SNAP, vals, np.inf)
-        return [int(v) for v in s[vals <= vals.min() + 1e-14]]
-
     def _cases(self, rng):
         shapes = []
         for _ in range(300):
@@ -201,7 +237,7 @@ class TestFewJunctionKernel:
         # only the n-m junction is valid for pi above (n-m-1)/(n-1)
         n, m = 50, 10
         single = np.array([(n - m) / n, 0.5 * ((n - m - 1) / (n - 1) + (n - m) / n)])
-        assert (single / (n - m - 1) > (1.0 - single) / m + REMAINDER_SNAP).all()
+        assert (single / (n - m - 1) > (1.0 - single) / m).all()
         cases.append((n, m, single))
         n, m = self.COMPOSITE
         cases.append((n, m, self._pis(rng, n, m)))
@@ -216,7 +252,7 @@ class TestFewJunctionKernel:
             same += int((got == want).sum())
             assert np.abs(got - want).max() <= 2.5e-16, (n, m)
             for pi, g, w in zip(pis[got != want], got[got != want], want[got != want]):
-                slots = self._near_min_slots(n, m, pi) if n - m > 10_000 else None
+                slots = near_min_slots(n, m, pi).tolist() if n - m > 10_000 else None
                 exact = mp_min_entropy(n, m, pi, slots)
                 assert abs(g - exact) <= 5e-16 and abs(w - exact) <= 5e-16, (n, m, pi)
         assert same >= 0.999 * points, (same, points)
@@ -367,9 +403,8 @@ class TestCandidateEntropyKernel:
             for s in sb.piecewise_curve(shape, 25):
                 d = sb.assemble_min_candidate(shape, s.p_hat)
                 assert s.entropy_bits == pytest.approx(sb.entropy(d), abs=1e-12)
-                if s.p_hat > 1e-15:
-                    full_slots = int(np.count_nonzero(d.probs[m:] == s.p_hat))
-                    assert s.segment_index == (n - m) - full_slots
+                full_slots = int(np.count_nonzero(d.probs[m:] == s.p_hat))
+                assert s.segment_index == (n - m) - full_slots
 
     def test_min_entropy_builds_only_the_argmin_distribution(self, monkeypatch):
         import selbounds.extrema as extrema
@@ -473,16 +508,12 @@ class TestPiecewiseCurve:
 
 def reference_candidates(shape):
     """The candidate tuple :func:`min_entropy` built before it kept columns."""
-    from selbounds.extrema import _candidate_entropies, _staircase
+    from selbounds.extrema import _candidate_entropies
 
-    n, m, pi = shape.n, shape.m, shape.pi
-    if pi < REMAINDER_SNAP:
+    m, pi = shape.m, shape.pi
+    if pi == 0.0:
         return (sb.CandidateEvaluation(0.0, 0.0, shape),)
-    if m == 1:
-        step, copies, remainder = _staircase(n, pi)
-        bits = copies * entropy_terms(step) + entropy_terms(remainder)
-        return (sb.CandidateEvaluation(step, float(bits), shape),)
-    p_hats = sb.candidate_set(shape)
+    p_hats = sb.candidate_set(shape) if m > 1 else np.array([1.0 - pi])
     bits = _candidate_entropies(m, pi, p_hats)
     return tuple(sb.CandidateEvaluation(float(p), float(b), shape) for p, b in zip(p_hats, bits))
 
