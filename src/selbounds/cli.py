@@ -333,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "oracle-check", parents=[output, seeded],
-        help="independent randomized/brute-force validators",
+        help="independent brute-force validators",
         description=(
-            "Cross-checks the discrete minimum-entropy search against a "
-            "randomized polytope descent, or the composite transforms "
-            "against total enumeration."
+            "Cross-checks the discrete minimum-entropy search against an "
+            "exact scan of the feasible polytope's vertices, or the composite "
+            "transforms against total enumeration."
         ),
     )
     group = p.add_mutually_exclusive_group(required=True)
@@ -347,10 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--pi", type=float)
     p.add_argument("--k", type=int)
-    p.add_argument("--restarts", type=_positive_int,
-                   help="--min-entropy descent restarts (default 100)")
-    p.add_argument("--iters", type=_positive_int,
-                   help="--min-entropy iterations per restart (default 5000)")
     p.add_argument("--trials", type=_positive_int,
                    help="--transform random distributions (default 20)")
 
@@ -507,25 +503,21 @@ def _cmd_scenario(args) -> tuple[str | Iterable[str], str | None]:
 
 
 def _cmd_oracle_check(args) -> tuple[str | Iterable[str], str | None]:
-    seed = 0 if args.seed is None else args.seed
     if args.check == "min_entropy":
-        _reject(args, ["k", "trials"], "--min-entropy")
+        _reject(args, ["k", "trials", "seed"], "--min-entropy")
         _require(args, ["n", "m", "pi"])
         shape = SystemShape(args.n, args.m, args.pi)
-        restarts = 100 if args.restarts is None else args.restarts
-        iters = 5000 if args.iters is None else args.iters
-        rng = derive_rng(seed, 1)
-        found = oracle_min_entropy(shape, restarts, iters, rng)
+        found = oracle_min_entropy(shape)
         exact = min_entropy(shape).min_entropy_bits
         return _json_blocks({
             "check": "min_entropy", "n": shape.n, "m": shape.m, "pi": shape.pi,
-            "restarts": restarts, "iters": iters, "seed": seed,
             "oracle_entropy_bits": found,
             "exact_min_entropy_bits": exact,
             "oracle_minus_exact": found - exact,
         }), None
-    _reject(args, ["m", "pi", "restarts", "iters"], "--transform")
+    _reject(args, ["m", "pi"], "--transform")
     _require(args, ["n", "k"])
+    seed = 0 if args.seed is None else args.seed
     rng = derive_rng(seed, 2)
     trials = 20 if args.trials is None else args.trials
     report = oracle_transform_check(args.n, args.k, trials, rng)

@@ -500,7 +500,7 @@ def piecewise_curve(shape: SystemShape, samples: int) -> ColumnRows:
     right = np.minimum(at, junctions.size - 1)
     left = np.maximum(right - 1, 0)
     gap = np.minimum(np.abs(grid - junctions[left]), np.abs(grid - junctions[right]))
-    keep = gap > 1e-12
+    keep = gap > 0
     # A kept grid point equals no junction, so inserting each before the
     # first junction above it sorts the union.
     at, grid = at[keep], grid[keep]

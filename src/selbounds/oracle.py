@@ -7,9 +7,9 @@ data, never aborts.  It works on arrays: each shape's scenarios are drawn
 into row blocks (each scenario from its own seeded stream) and reduced to
 entropies and tail masses row by row; the analytic bounds take one call
 per shape, and each tight bound one bisection over every record of every
-shape.  The randomized polytope search and the exhaustive
-transform enumeration give independent pressure on the closed-form
-machinery they double-check.
+shape.  The exact scan of the min-entropy polytope's vertices, in
+integers, and the exhaustive transform enumeration check the closed-form
+machinery without sharing its code.
 """
 
 from __future__ import annotations
@@ -356,107 +356,52 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     return "".join(csv_blocks(SWEEP_CSV_HEADER + "\n", columns, len(records) or 1))
 
 
-def _two_level_extreme_points(n: int, m: int, pi: float):
-    """Yield the feasible profiles with at most two positive value levels.
+def _level_bits(count: int, num: int, den: int) -> float:
+    """``-count * v * log2(v)`` for ``count`` entries at ``v = num/den``.
 
-    Entropy is strictly concave, so its minimum over the constraint
-    polytope sits at an extreme point; extreme points leave at most two of
-    the chain constraints (p_i >= p_{i+1}, p_n >= 0) slack, which forces a
-    profile of v1 on a prefix, v2 on a middle block, zeros after.  Solving
-    the two segment-sum equations per block split enumerates them all.
+    The level's mass is one correctly rounded integer division.  Above
+    ``v = 1/2`` the logarithm goes through ``log1p``, so a head entry near
+    1 keeps its ``(1 - v)/ln 2``; below, ``den/num`` is shifted into the
+    double range first, so no positive level is too small to count.
     """
-    head_mass = 1.0 - pi
-    for b in range(1, n + 1):
-        for a in range(0, b + 1):
-            h1 = min(a, m)
-            h2 = max(0, min(b, m) - a)
-            t1 = max(0, a - m)
-            t2 = max(0, b - max(a, m))
-            det = h1 * t2 - h2 * t1
-            if abs(det) > 1e-12:
-                v1 = (head_mass * t2 - h2 * pi) / det
-                v2 = (h1 * pi - t1 * head_mass) / det
-            elif t1 == 0 and t2 == 0:
-                if pi > 1e-12 or h1 + h2 == 0:
-                    continue
-                if h2 == 0:
-                    v1, v2 = head_mass / h1, 0.0
-                elif h1 == 0:
-                    v1, v2 = 0.0, head_mass / h2
-                else:
-                    continue  # underdetermined edge; endpoints covered elsewhere
-            elif h1 == 0 and t1 == 0:
-                v1 = 0.0
-                v2 = head_mass / h2 if h2 else 0.0
-                if abs(t2 * v2 - pi) > 1e-9:
-                    continue
-            else:
-                continue  # parallel constraints: an edge, not a vertex
-            if v1 < -1e-12 or v2 < -1e-12 or (a >= 1 and v1 < v2 - 1e-12):
-                continue
-            v1, v2 = max(v1, 0.0), max(v2, 0.0)
-            if abs(h1 * v1 + h2 * v2 - head_mass) > 1e-9:
-                continue
-            if abs(t1 * v1 + t2 * v2 - pi) > 1e-9:
-                continue
-            yield a, b, v1, v2
+    mass = count * num / den
+    if 2 * num > den:
+        return mass * math.log1p((den - num) / num) / math.log(2)
+    shift = max(0, den.bit_length() - num.bit_length() - 1000)
+    return mass * (shift + math.log2(den / (num << shift)))
 
 
-def _extreme_point_scan(n: int, m: int, pi: float) -> float:
-    best = math.inf
-    for a, b, v1, v2 in _two_level_extreme_points(n, m, pi):
-        total = 0.0
-        if v1 > 0.0:
-            total -= a * v1 * math.log2(v1)
-        if v2 > 0.0:
-            total -= (b - a) * v2 * math.log2(v2)
-        best = min(best, total)
-    return best
+def oracle_min_entropy(shape: SystemShape) -> float:
+    """The exact minimum entropy of a shape, by a scan of its polytope's vertices.
 
-
-def oracle_min_entropy(
-    shape: SystemShape,
-    restarts: int = 100,
-    iters: int = 5000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Polytope search for low entropy; never returns below the true min.
-
-    Two independent pressures are combined: an exhaustive scan of the
-    polytope's extreme points (at most two positive value levels, see
-    :func:`_two_level_extreme_points`) and a multi-restart greedy descent
-    that repeatedly transfers the largest allowed mass from a smaller onto
-    a larger same-segment entry (each transfer strictly lowers entropy).
-    Every point evaluated is feasible, so the best entropy found
-    upper-bounds the exact minimum.
+    Entropy is concave, so its minimum over the feasible polytope (sorted
+    entries, head mass ``1 - pi``, tail mass ``pi``) sits at a vertex.  A
+    vertex leaves at most two of the ``n`` chain constraints
+    ``p_i >= p_{i+1}``, ``p_n >= 0`` slack, so it is ``v1`` on the first
+    ``a`` entries, ``v2`` on the next ``b - a`` and zeros after.  Each
+    vertex is solved in integers from ``pi = p/q``, so every feasibility
+    test is exact and only each level's entropy is rounded.  A double
+    ``pi`` above the rational ceiling ``(n-m)/n`` is read as the ceiling.
     """
-    if rng is None:
-        rng = derive_rng(0)
     n, m = shape.n, shape.m
-    segments = [(0, m)]
-    if m < n:
-        segments.append((m, n))
-    best = _extreme_point_scan(n, m, shape.pi)
-    for _ in range(max(1, restarts)):
-        probs = np.array(sample_feasible(shape, rng).probs)
-        for _ in range(max(1, iters)):
-            moves = []
-            for lo, hi in segments:
-                for i in range(lo, hi):
-                    room_up = (1.0 - probs[i]) if i == 0 else probs[i - 1] - probs[i]
-                    if room_up <= 1e-12:
-                        continue
-                    for j in range(i + 1, hi):
-                        room_down = probs[j] - (probs[j + 1] if j + 1 < n else 0.0)
-                        delta = min(room_up, room_down)
-                        if delta > 1e-12:
-                            moves.append((i, j, delta))
-            if not moves:
-                break
-            i, j, delta = moves[int(rng.integers(len(moves)))]
-            probs[i] += delta
-            probs[j] -= delta
-        best = min(best, float(entropy_rows(probs[None])[0]))
+    p, q = shape.pi.as_integer_ratio()
+    if p * n > (n - m) * q:
+        p, q = n - m, n
+    head = q - p  # the head mass 1 - pi, times q
+    best = math.inf
+    for b in range(1, n + 1):  # one level on the first b entries
+        if max(b - m, 0) * head == min(b, m) * p:
+            best = min(best, _level_bits(b, head, q * min(b, m)))
+    for b in range(m + 1, n + 1):  # two levels on the first b entries, split at a
+        for a in range(1, b):
+            if a <= m:  # v1 on a head entries, v2 on the other m - a and b - m tail entries
+                den = q * a * (b - m)
+                num1, num2 = head * (b - m) - (m - a) * p, a * p
+            else:  # v1 on the head and a - m tail entries, v2 on b - a tail entries
+                den = q * m * (b - a)
+                num1, num2 = head * (b - a), m * p - (a - m) * head
+            if num1 >= num2 > 0:
+                best = min(best, _level_bits(a, num1, den) + _level_bits(b - a, num2, den))
     return best
 
 

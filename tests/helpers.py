@@ -30,8 +30,8 @@ def mp_log2(x):
 
 
 def _mp(x):
-    """An mpf as it is; a float as the 50-digit value of its shortest repr."""
-    return x if isinstance(x, mp.mpf) else mpf(repr(float(x)))
+    """An mpf as it is; a float as its exact value."""
+    return x if isinstance(x, mp.mpf) else mpf(float(x))
 
 
 def _mp_fe_near_one(d):
@@ -43,7 +43,7 @@ def mp_entropy(values) -> float:
     """High-precision base-2 entropy, returned as a float."""
     total = mpf(0)
     for v in values:
-        v = mpf(repr(float(v)))
+        v = mpf(float(v))
         if v > 0:
             total -= v * mp_log2(v)
     return float(total)

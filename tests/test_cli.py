@@ -53,8 +53,7 @@ SMALL_ARGV = {
     ],
     "scenario": [("scenario", "--config", "{tmp}/scenario.cfg")],
     "oracle-check": [
-        ("oracle-check", "--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4",
-         "--restarts", "1", "--iters", "10"),
+        ("oracle-check", "--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4"),
         ("oracle-check", "--transform", "--n", "4", "--k", "2", "--trials", "2"),
     ],
 }
@@ -400,8 +399,7 @@ class TestBadSettings:
         [
             ("sweep", "--paper-figs", "--seed", "-1"),
             ("scenario", "--config", "{tmp}/scenario.cfg"),
-            ("oracle-check", "--min-entropy", "--n", "10", "--m", "3", "--pi", "0.2",
-             "--seed", "-1"),
+            ("oracle-check", "--transform", "--n", "4", "--k", "2", "--seed", "-1"),
         ],
     )
     def test_negative_seed_is_one_error_line(self, capsys, tmp_path, argv):
@@ -747,8 +745,7 @@ class TestScenarioCommand:
 class TestOracleCheckCommand:
     def test_min_entropy_check(self, capsys):
         code, out, _ = run_cli(
-            capsys, "oracle-check", "--min-entropy", "--n", "5", "--m", "2",
-            "--pi", "0.4", "--restarts", "5", "--iters", "100", "--seed", "3",
+            capsys, "oracle-check", "--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4",
         )
         assert code == 0
         doc = json.loads(out)
@@ -761,8 +758,7 @@ class TestOracleCheckCommand:
         # at pi = 1e-6 junctions lie closer than 1e-9; merging them left the
         # exact minimum 3.5e-9 bits too high, so the oracle went below it
         code, out, _ = run_cli(
-            capsys, "oracle-check", "--min-entropy", "--n", "200", "--m", "10",
-            "--pi", "1e-6", "--restarts", "1", "--iters", "1",
+            capsys, "oracle-check", "--min-entropy", "--n", "200", "--m", "10", "--pi", "1e-6",
         )
         assert code == 0
         doc = json.loads(out)
@@ -800,10 +796,6 @@ class TestOracleCheckCommand:
         [
             (("--transform", "--n", "4", "--k", "2", "--trials", "-3"), "--trials"),
             (("--transform", "--n", "4", "--k", "2", "--trials", "two"), "--trials"),
-            (("--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4", "--restarts", "0",
-              "--iters", "5"), "--restarts"),
-            (("--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4", "--restarts", "1",
-              "--iters", "-1"), "--iters"),
         ],
     )
     def test_counts_below_one_are_one_error_line(self, capsys, argv, option):
@@ -817,8 +809,10 @@ class TestOracleCheckCommand:
         [
             (("--transform", "--n", "4", "--k", "2", "--m", "2"), "--m"),
             (("--transform", "--n", "4", "--k", "2", "--pi", "0.3"), "--pi"),
-            (("--transform", "--n", "4", "--k", "2", "--restarts", "5"), "--restarts"),
-            (("--transform", "--n", "4", "--k", "2", "--iters", "5"), "--iters"),
+            (("--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4", "--seed", "3"),
+             "--seed"),
+            (("--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4", "--seed", "0"),
+             "--seed"),
             (("--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4", "--k", "2"), "--k"),
             (("--min-entropy", "--n", "5", "--m", "2", "--pi", "0.4", "--trials", "2"),
              "--trials"),
@@ -985,11 +979,8 @@ class TestInternalPrecisionLoss:
         self._exits_2(capsys, "extrema", "--n", "15", "--m", "5", "--pi", "0.4",
                       "--which", "min")
 
-    @pytest.mark.parametrize("n, m, pi", [("6", "2", "0.3"), ("3", "3", "0")])
-    def test_feasible_sample(self, capsys, monkeypatch, n, m, pi):
-        import selbounds.cli as cli
-
-        derive = cli.derive_rng
-        monkeypatch.setattr(cli, "derive_rng", lambda *key: _HeavyDirichlet(derive(*key)))
-        self._exits_2(capsys, "oracle-check", "--min-entropy", "--n", n, "--m", m,
-                      "--pi", pi, "--restarts", "1", "--iters", "1")
+    @pytest.mark.parametrize("n, m, pi", [(6, 2, 0.3), (3, 3, 0)])
+    def test_feasible_sample(self, n, m, pi):
+        rng = _HeavyDirichlet(sb.derive_rng(0))
+        with pytest.raises(sb.NumericFailureError):
+            sb.sample_feasible(sb.SystemShape(n, m, pi), rng)

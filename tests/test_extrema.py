@@ -492,6 +492,16 @@ class TestPiecewiseCurve:
             tail = d.probs[shape.m :]
             assert np.allclose(tail, lo, atol=1e-12)
 
+    def test_every_grid_point_off_a_junction_is_kept(self):
+        # three of these grid points lie within 1e-12 of a junction
+        shape = sb.SystemShape(20000, 10000, 0.4)
+        samples = sb.piecewise_curve(shape, 5000)
+        is_junction = samples.columns["is_junction"]
+        junctions = sb.candidate_set(shape)
+        grid = np.linspace(0.4 / 10000, 0.6 / 10000, 5000)
+        kept = grid[~np.isin(grid, junctions)]
+        assert samples.columns["p_hat"][~is_junction].tolist() == kept.tolist()
+
     def test_degenerate_interval(self):
         samples = sb.piecewise_curve(sb.SystemShape(4, 2, 0.5), 2)
         values = {round(s.entropy_bits, 12) for s in samples}
@@ -526,7 +536,7 @@ def reference_curve(shape, samples):
     junctions = sb.candidate_set(shape)
     lo, hi = pi / (n - m), (1.0 - pi) / m
     grid = np.linspace(lo, hi, samples)
-    keep = np.abs(grid[:, None] - junctions[None, :]).min(axis=1) > 1e-12
+    keep = np.abs(grid[:, None] - junctions[None, :]).min(axis=1) > 0
     points = np.concatenate([junctions, grid[keep]])
     flags = np.concatenate([np.ones(junctions.size, bool), np.zeros(int(keep.sum()), bool)])
     order = np.argsort(points, kind="stable")

@@ -218,14 +218,13 @@ class TestCommandsMatchJsonDumps:
 
     def test_oracle_check(self, capsys, tmp_path):
         shape = sb.SystemShape(12, 4, 0.3)
-        found = sb.oracle_min_entropy(shape, 3, 50, derive_rng(9, 1))
+        found = sb.oracle_min_entropy(shape)
         exact = sb.min_entropy(shape).min_entropy_bits
         out = cli_json(capsys, tmp_path, "oracle-check", "--min-entropy", "--n", "12",
-                       "--m", "4", "--pi", "0.3", "--restarts", "3", "--iters", "50",
-                       "--seed", "9")
+                       "--m", "4", "--pi", "0.3")
         assert out == dumps({
-            "check": "min_entropy", "n": 12, "m": 4, "pi": 0.3, "restarts": 3, "iters": 50,
-            "seed": 9, "oracle_entropy_bits": found, "exact_min_entropy_bits": exact,
+            "check": "min_entropy", "n": 12, "m": 4, "pi": 0.3,
+            "oracle_entropy_bits": found, "exact_min_entropy_bits": exact,
             "oracle_minus_exact": found - exact,
         })
         report = sb.oracle_transform_check(5, 2, 3, derive_rng(9, 2))

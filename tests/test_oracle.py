@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 import selbounds as sb
 import selbounds.oracle as oracle_mod
-from helpers import mp_entropy, reference_sweep_shape
+from helpers import mp_entropy, mp_h_min, mp_log2, reference_sweep_shape
 
 
 class TestSampling:
@@ -234,41 +235,41 @@ def test_median_matches_numpy(values):
     assert repr(oracle_mod._median(values)) == repr(want)
 
 
+def _h_min_truth(n, m, pi):
+    """50-digit ``H_min``, or ``log2 n`` where the double ``pi`` lies above the rational ceiling."""
+    p, q = pi.as_integer_ratio()
+    return mp_log2(n) if p * n > (n - m) * q else mp_h_min(n, m, pi)
+
+
 class TestOracleMinEntropy:
     def test_unique_feasible_point(self):
-        found = sb.oracle_min_entropy(
-            sb.SystemShape(4, 2, 0.5), restarts=3, iters=50, rng=sb.derive_rng(1)
-        )
+        found = sb.oracle_min_entropy(sb.SystemShape(4, 2, 0.5))
         assert found == pytest.approx(2.0, abs=1e-9)
 
     def test_converges_to_staircase(self):
-        found = sb.oracle_min_entropy(
-            sb.SystemShape(3, 1, 0.3), restarts=40, iters=400, rng=sb.derive_rng(2)
-        )
+        found = sb.oracle_min_entropy(sb.SystemShape(3, 1, 0.3))
         assert found == pytest.approx(mp_entropy([0.7, 0.3]), abs=1e-6)
 
-    def test_never_below_exact_minimum(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(2, 9))
-            m = int(rng.integers(1, n + 1))
-            pi = float(rng.uniform(0, (n - m) / n)) if m < n else 0.0
-            shape = sb.SystemShape(n, m, pi)
-            found = sb.oracle_min_entropy(shape, restarts=5, iters=150, rng=rng)
-            exact = sb.min_entropy(shape).min_entropy_bits
-            assert found >= exact - 1e-9
+    @pytest.mark.parametrize("n, m, pi", [(3, 1, 1e-13), (6, 5, 6e-12)])
+    def test_tiny_tail_mass_counts_in_full(self, n, m, pi):
+        truth = mp_h_min(n, m, pi)
+        found = sb.oracle_min_entropy(sb.SystemShape(n, m, pi))
+        assert abs(mpf(found) - truth) <= 4 * 2**-52 * truth
 
-    def test_usually_reaches_exact_minimum(self, rng):
-        hits = 0
-        cases = 0
-        for n in range(2, 7):
-            for m in range(1, n + 1):
-                pi = 0.5 * (n - m) / n
-                shape = sb.SystemShape(n, m, pi)
-                found = sb.oracle_min_entropy(shape, restarts=60, iters=400, rng=rng)
-                exact = sb.min_entropy(shape).min_entropy_bits
-                cases += 1
-                hits += found <= exact + 1e-6
-        assert hits / cases >= 0.95
+    def test_within_four_ulps_of_the_truth(self, rng):
+        cases = [(n, m, 0.5 * (n - m) / n) for n in range(2, 7) for m in range(1, n + 1)]
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            m = int(rng.integers(1, n + 1))
+            top = (n - m) / n
+            cases += [(n, m, float(rng.uniform(0.0, top))), (n, m, top)]
+            if top > 0:
+                cases.append((n, m, float(10 ** rng.uniform(-300, math.log10(top)))))
+        for n, m, pi in cases:
+            shape = sb.SystemShape(n, m, pi)
+            truth = _h_min_truth(n, m, shape.pi)
+            found = sb.oracle_min_entropy(shape)
+            assert abs(mpf(found) - truth) <= 4 * 2**-52 * truth, (n, m, shape.pi)
 
 
 class TestOracleTransformCheck:
