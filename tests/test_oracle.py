@@ -256,6 +256,30 @@ class TestOracleMinEntropy:
         found = sb.oracle_min_entropy(sb.SystemShape(n, m, pi))
         assert abs(mpf(found) - truth) <= 4 * 2**-52 * truth
 
+    def test_never_below_exact_minimum(self, rng):
+        for _ in range(25):
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(1, n + 1))
+            pi = float(rng.uniform(0, (n - m) / n)) if m < n else 0.0
+            shape = sb.SystemShape(n, m, pi)
+            found = sb.oracle_min_entropy(shape)
+            exact = sb.min_entropy(shape).min_entropy_bits
+            assert found >= exact - 1e-9
+
+    def test_usually_reaches_exact_minimum(self):
+        hits = 0
+        cases = 0
+        for n in range(2, 7):
+            for m in range(1, n + 1):
+                pi = 0.5 * (n - m) / n
+                shape = sb.SystemShape(n, m, pi)
+                found = sb.oracle_min_entropy(shape)
+                exact = sb.min_entropy(shape).min_entropy_bits
+                cases += 1
+                hits += found <= exact + 1e-6
+        # The vertex scan is exact, so "usually" is now every case.
+        assert hits == cases
+
     def test_within_four_ulps_of_the_truth(self, rng):
         cases = [(n, m, 0.5 * (n - m) / n) for n in range(2, 7) for m in range(1, n + 1)]
         for _ in range(200):
