@@ -150,10 +150,12 @@ def _index_bound(n: int, m: int, pi: float) -> int:
 def candidate_set(shape: SystemShape) -> np.ndarray:
     """Discrete p_hat values among which the entropy minimum must lie.
 
-    Emits every valid junction ``pi/s`` (at most the right endpoint
-    ``(1-pi)/m``, the test :func:`min_entropy_values` makes), ascending,
-    then that endpoint.  Only equal values are merged: at small ``pi``
-    distinct junctions lie closer than any fixed tolerance.
+    Emits every valid junction ``pi/s`` (positive and at most the right
+    endpoint ``(1-pi)/m``, the test :func:`min_entropy_values` makes),
+    ascending, then that endpoint.  A junction whose ``pi/s`` underflows to
+    0 holds no tail mass, so it is not a feasible point.  Only equal values
+    are merged: at small ``pi`` distinct junctions lie closer than any
+    fixed tolerance.
     """
     n, m, pi = shape.n, shape.m, shape.pi
     if m < 2:
@@ -162,7 +164,7 @@ def candidate_set(shape: SystemShape) -> np.ndarray:
         raise InfeasibleError("candidate_set requires pi > 0 (pi = 0 is degenerate)")
     hi = (1.0 - pi) / m
     junctions = pi / np.arange(n - m, 0, -1)  # ascending
-    values = np.append(junctions[junctions <= hi], hi)
+    values = np.append(junctions[(junctions > 0.0) & (junctions <= hi)], hi)
     return values[np.append(True, np.diff(values) > 0)]
 
 
@@ -410,6 +412,21 @@ def _junction_candidates(n, m, pis: np.ndarray, cap: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(cols, 1.0), n - m)
 
 
+#: Tail masses per block of :func:`min_entropy_values`' junctions: the
+#: block's ``(22, block)`` temporaries take about 1 MB at any call size.
+_JUNCTION_BLOCK = 1024
+
+
+def _lowest_junction(n, m, pa: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The lowest valid junction entropy at each tail mass ``pa``, ``inf`` where none is valid."""
+    # At junction s the tail holds exactly s full slots and no remainder,
+    # so the junctions skip the kernel's tail split.
+    slots = _junction_candidates(n, m, pa, hi)
+    ph = pa / slots
+    vals = (m - 1 + slots) * entropy_terms(ph) + entropy_terms((1.0 - pa) - (m - 1) * ph)
+    return np.where((ph > 0.0) & (ph <= hi) & (m > 1), vals, np.inf).min(axis=0)
+
+
 def min_entropy_values(n, m, pis: np.ndarray) -> np.ndarray:
     """Vectorized minimum-entropy values for many tail masses at once.
 
@@ -424,7 +441,7 @@ def min_entropy_values(n, m, pis: np.ndarray) -> np.ndarray:
     is the lowest valid junction.  Each junction is evaluated with the
     expression a scan over all of them used,
     ``(m-1+s)*fe(pi/s) + fe((1-pi)-(m-1)*pi/s)``, and is valid where
-    ``pi/s <= (1-pi)/m``; for ``m = 1`` only the right endpoint counts
+    ``0 < pi/s <= (1-pi)/m``; for ``m = 1`` only the right endpoint counts
     (module docstring).  Each result depends only on its own pi.  Where
     more junctions around the root than the window holds lie within
     rounding of each other, the minimum can differ from such a scan's in
@@ -447,13 +464,11 @@ def min_entropy_values(n, m, pis: np.ndarray) -> np.ndarray:
     n, m, pa = n[active], m[active], pis[active]
     hi = (1.0 - pa) / m
     best = _candidate_entropies(m, pa, hi)
-    # At junction s the tail holds exactly s full slots and no remainder,
-    # so the junctions skip the kernel's tail split.
-    slots = _junction_candidates(n, m, pa, hi)
-    ph = pa / slots
-    vals = (m - 1 + slots) * entropy_terms(ph) + entropy_terms((1.0 - pa) - (m - 1) * ph)
-    vals = np.where((ph <= hi) & (m > 1), vals, np.inf)
-    out[active] = np.maximum(np.minimum(best, vals.min(axis=0)), 0.0)
+    for start in range(0, pa.size, _JUNCTION_BLOCK):
+        block = slice(start, start + _JUNCTION_BLOCK)
+        np.minimum(best[block], _lowest_junction(n[block], m[block], pa[block], hi[block]),
+                   out=best[block])
+    out[active] = np.maximum(best, 0.0)
     return out
 
 

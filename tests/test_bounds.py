@@ -20,7 +20,13 @@ from helpers import (
     reference_analytic,
 )
 from selbounds.bounds import _analytic_bounds
-from selbounds.oracle import REFERENCE_SWEEP_SHAPES
+from selbounds.extrema import max_entropy_values
+from selbounds.oracle import (
+    REFERENCE_SWEEP_SHAPES,
+    _observe_shape,
+    reference_sweep_config,
+    run_sweep,
+)
 
 
 def mp_pi_lower(n, m, h) -> float:
@@ -224,8 +230,13 @@ def one_level_bisect(top, floor, ceiling, below):
     return lo, hi
 
 
+def uncertified_bisect(top, floor, ceiling, hs, curve, below, *certify_args):
+    """``_bisect`` as :func:`one_level_bisect`: every midpoint through the kernel."""
+    return one_level_bisect(top, floor, ceiling, lambda mid, idx: below(curve(mid, idx), hs[idx]))
+
+
 class TestTreeBatchedBisection:
-    """A ``below`` call over several tree levels splits where one level per call does."""
+    """The certified walk, over one or several tree levels per call, splits where one level per call does."""
 
     SHAPES = [(2, 1), (7, 7), (7, 1), (60, 10), (34_220, 120), (10**6, 1), (10**6, 999_999)]
 
@@ -260,7 +271,7 @@ class TestTreeBatchedBisection:
                 ns, ms = np.full(hs.size, n), np.full(hs.size, m)
                 got = invert(ns, ms, hs)
                 with monkeypatch.context() as patch:
-                    patch.setattr(bounds_mod, "_bisect", one_level_bisect)
+                    patch.setattr(bounds_mod, "_bisect", uncertified_bisect)
                     want = invert(ns, ms, hs)
                 assert got.tobytes() == want.tobytes(), (n, m, hs)
 
@@ -271,8 +282,97 @@ class TestTreeBatchedBisection:
         ns, ms, hs = ns.astype(int), ms.astype(int), hs.astype(float)
         invert = getattr(bounds_mod, f"_invert_{bound}")
         got = invert(ns, ms, hs)
-        monkeypatch.setattr(bounds_mod, "_bisect", one_level_bisect)
+        monkeypatch.setattr(bounds_mod, "_bisect", uncertified_bisect)
         assert got.tobytes() == invert(ns, ms, hs).tobytes()
+
+
+def paper_figs_inputs(seed):
+    """The ``(n, m, h)`` arrays ``sweep --paper-figs --seed seed`` inverts."""
+    config = reference_sweep_config(seed)
+    count = config.scenarios_per_shape
+    h, _ = np.concatenate([_observe_shape(config, i) for i in range(len(config.shapes))], axis=1)
+    ns, ms = np.repeat(np.array(config.shapes).T, count, axis=1)
+    ok = ~np.isnan(h)
+    return ns[ok], ms[ok], np.clip(h[ok], 0.0, np.log2(ns[ok]))
+
+
+class TestCertifiedWalk:
+    """The certified walk returns the one-level bisection's doubles on the inputs that matter."""
+
+    @staticmethod
+    def _assert_equal(monkeypatch, bound, ns, ms, hs):
+        invert = getattr(bounds_mod, f"_invert_{bound}")
+        got = invert(ns, ms, hs)
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds_mod, "_bisect", uncertified_bisect)
+            want = invert(ns, ms, hs)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 42])
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_paper_figs_inputs(self, monkeypatch, seed, bound):
+        self._assert_equal(monkeypatch, bound, *paper_figs_inputs(seed))
+
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_edge_entropies(self, monkeypatch, rng, bound):
+        rows = []
+        for n in (2, 3, 50, 3000, 34_220):
+            for m in {1, n - 1}:
+                top = math.log2(n)
+                near_top = [top - k * 1e-16 for k in range(11)] + [float(np.nextafter(top, 0.0))]
+                tiny = [1e-300, 5e-324, *(10 ** rng.uniform(-300, -1, 8))]
+                rows += [(n, m, h) for h in near_top + tiny]
+        ns, ms, hs = (np.array(c) for c in zip(*rows))
+        self._assert_equal(monkeypatch, bound, ns, ms, np.clip(hs, 0.0, np.log2(ns)))
+
+    def test_sweep_takes_few_kernel_calls(self, monkeypatch):
+        # one call per bisection level took 62 for the paper figures' sweep
+        calls = []
+        kernel = bounds_mod._min_entropy_values
+        monkeypatch.setattr(bounds_mod, "_min_entropy_values",
+                            lambda *args: calls.append(1) or kernel(*args))
+        run_sweep(reference_sweep_config(1))
+        assert len(calls) <= 20
+
+
+class TestKernelErrorBound:
+    """Both kernels lie within ``eps/2`` of their 50-digit curves: the premise of the certified walk."""
+
+    @staticmethod
+    def _points(rng):
+        """``(n, m, pi)``: random shapes up to n = 2000 and the paper's, at every kind of tail mass."""
+        shapes = [*REFERENCE_SWEEP_SHAPES, (2, 1), (2000, 1), (2000, 1999)]
+        for _ in range(40):
+            n = int(rng.integers(2, 2001))
+            shapes.append((n, int(rng.integers(1, n))))
+        for n, m in shapes:
+            # the walk evaluates only doubles below the rounded ceiling
+            top = float(np.nextafter((n - m) / n, 0.0))
+            pis = [
+                top * rng.uniform(),
+                top * 10 ** rng.uniform(-300, 0),
+                top * 10 ** rng.uniform(-16, 0),
+                top * (1 - 10 ** rng.uniform(-16, -1)),
+                top,
+            ]
+            yield from ((n, m, min(pi, top)) for pi in pis)
+
+    @staticmethod
+    def _within_half_eps(kernel, truth, n, m, pi):
+        got = float(kernel(n, m, np.array([pi]))[0])
+        want = truth(n, m, pi)
+        half_eps = float(bounds_mod._kernel_error(np.array([float(want)]))[0]) / 2
+        return abs(mpf(got) - want) <= half_eps
+
+    def test_minimum_entropy_kernel(self, rng):
+        bad = [p for p in self._points(rng)
+               if not self._within_half_eps(sb.min_entropy_values, mp_h_min, *p)]
+        assert not bad
+
+    def test_maximum_entropy_kernel(self, rng):
+        bad = [p for p in self._points(rng)
+               if not self._within_half_eps(max_entropy_values, mp_h_max, *p)]
+        assert not bad
 
 
 class TestMeritBounds:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import selbounds as sb
+from selbounds.core import entropy_terms
+from selbounds.oracle import oracle_min_entropy
 from helpers import (
     batch_entropy,
     branch_head_entropy,
@@ -209,6 +211,18 @@ class TestOneJunctionRule:
                 dist = sb.min_entropy(sb.SystemShape(n, m, float(pi))).argmin_distribution
                 tail = math.fsum(dist.probs[m:])
                 assert tail == pytest.approx(float(pi), rel=4 * (n - m) * 2**-53), (n, m, pi)
+
+    def test_junction_that_underflows_to_zero_is_skipped(self):
+        # at (4, 2, 5e-324) the junction pi/2 rounds to 0: that point holds no
+        # tail mass, and it scored 0 bits; the minimum is the junction pi/1
+        shape = sb.SystemShape(4, 2, 5e-324)
+        want = 2 * float(entropy_terms(np.array([5e-324]))[0])
+        result = sb.min_entropy(shape)
+        assert 0.0 not in result.candidates.columns["p_hat"].tolist()
+        assert result.min_entropy_bits == want == sb.min_entropy_value(4, 2, 5e-324)
+        assert math.fsum(result.argmin_distribution.probs[2:]) == 5e-324
+        # the exact value adds the head entry's 2*pi*log2(e), which rounds away
+        assert oracle_min_entropy(shape) - want == 3 * 5e-324
 
 
 class TestFewJunctionKernel:
