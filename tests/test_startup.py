@@ -1,10 +1,14 @@
-"""What a process imports: the lazy package exports and per-command CLI imports.
+"""What a process imports and how it ends: lazy exports, per-command imports, the entry.
 
 Every answer is one short CLI process, so ``import selbounds`` loads no
-submodule and each command loads only the modules it runs.  The module
-sets are checked in fresh interpreters; the public API is checked here.
+submodule, each command loads only the modules it runs, and the program
+entry freezes the heap so that shutdown does not traverse it.  The
+module sets and the exit state are checked in fresh interpreters; the
+public API is checked here.
 """
 
+import ast
+import gc
 import importlib
 import inspect
 import json
@@ -178,6 +182,66 @@ class TestEntryPath:
         assert code == 0
         assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (
             code, captured.out, captured.err)
+
+
+#: Runs the ``__main__`` block of ``selbounds.cli`` on argv[2:] and, at
+#: exit, writes whether the collector is on, the frozen object count and
+#: the count left in the collector's generations to the file argv[1].
+_AT_EXIT_PROBE = """
+import atexit, gc, json, runpy, sys
+path = sys.argv[1]
+def report():
+    with open(path, "w") as handle:
+        json.dump([gc.isenabled(), gc.get_freeze_count(), len(gc.get_objects())], handle)
+atexit.register(report)
+sys.argv = ["selbounds", *sys.argv[2:]]
+runpy.run_module("selbounds.cli", run_name="__main__")
+"""
+
+
+class TestProgramEntry:
+    def test_in_process_main_leaves_the_collector_alone(self, capsys, inputs):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main([a.format(tmp=inputs) for a in COMMANDS["bounds"]]) == 0
+        assert main(["bounds", "--bogus"]) == 1
+        capsys.readouterr()
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("argv, expected", [(COMMANDS["bounds"], 0), (("bounds", "--bogus"), 1)],
+                             ids=["bounds", "usage-error"])
+    def test_python_m_exits_with_a_frozen_heap(self, inputs, argv, expected):
+        state = inputs / "state.json"
+        done = _python("-c", _AT_EXIT_PROBE, str(state), *(a.format(tmp=inputs) for a in argv))
+        assert done.returncode == expected, done.stderr.decode()
+        enabled, frozen, unfrozen = json.loads(state.read_text())
+        # numpy's and the package's import heap alone is over 10,000 objects
+        assert enabled and frozen > 10_000 and unfrozen < 100
+
+    def test_run_freezes_twice_and_returns_mains_code(self, capsys, monkeypatch):
+        import selbounds.core as core
+
+        freezes = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append(None))
+        monkeypatch.setattr(
+            core.SystemShape, "head_mean",
+            property(lambda s: (1.0 - s.pi) / s.m * (1.0 + 1e-6)),
+        )
+        monkeypatch.setattr(sys, "argv", ["selbounds", "extrema", "--n", "4", "--m", "2",
+                                          "--pi", "0.5"])
+        assert cli.run() == 2
+        assert len(freezes) == 2
+        assert capsys.readouterr().err.startswith("error: internal numeric failure")
+
+    def test_script_target_is_the_function_main_block_calls(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+        module, name = pyproject["project"]["scripts"]["selbounds"].split(":")
+        target = getattr(importlib.import_module(module), name)
+        tree = ast.parse(Path(cli.__file__).read_text())
+        block = next(node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'")
+        assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({target.__name__}())"]
+        assert target is cli.run
 
 
 class TestPublicApi:
