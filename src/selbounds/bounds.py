@@ -84,8 +84,8 @@ estimate is the bracket's chord, or the quadratic through the three
 points nearest ``h`` where that falls inside the bracket; ``d`` is twice
 the last aim's miss, at least ``_REACH*eps``.  An element is done once
 both points aimed at ``h -+ _REACH*eps`` certify.  The walk then needs
-about ``log2`` of the doubles between ``a`` and ``b`` calls, and, with
-few elements left waiting, covers several levels per call.
+about ``log2`` of the doubles between ``a`` and ``b`` calls, one
+bisection level each.
 
 Merit-probability bounds are exact complements of the opposite error
 bounds, clamped into ``[m/n, 1]``.
@@ -236,49 +236,6 @@ def flawed_pi_lower_bound(n: int, m: int, h: float) -> float:
     return (float(h) - 1.0 - math.log2(m)) / den
 
 
-#: Most midpoints one kernel call of the walk evaluates: with few elements
-#: waiting on the kernel, the walk takes the next levels of each one's
-#: bisection tree at once (see :func:`_tree_levels`).
-_TREE_POINTS = 15
-
-
-def _midpoint(lo, hi):
-    """The bisection's split point of the bracket ``[lo, hi]`` of non-negative doubles.
-
-    The midpoint of their int64 views, which order non-negative doubles as
-    their values do: each split halves the doubles left in the bracket.
-    """
-    a, b = lo.view(np.int64), hi.view(np.int64)
-    return (a + (b - a) // 2).view(float)
-
-
-def _tree_levels(open_count: int) -> int:
-    """Bisection levels per kernel call for ``open_count`` elements waiting on it.
-
-    The most levels whose ``2**levels - 1`` tree midpoints per element stay
-    within ``_TREE_POINTS`` in all, and at least one: one element gets 4
-    levels per call, 6 or more get one.
-    """
-    return max(1, ((_TREE_POINTS // open_count) + 1).bit_length() - 1)
-
-
-def _tree_midpoints(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
-    """Every midpoint of the first ``levels`` levels of each bracket's bisection tree.
-
-    Row ``j`` of the ``(2**levels - 1, len(lo))`` result is tree node ``j``
-    in breadth-first order: node ``j`` splits at ``_midpoint`` of its
-    bracket, and its children ``2j+1`` and ``2j+2`` hold the left and
-    right halves.
-    """
-    a, b = lo[None], hi[None]
-    mids = [_midpoint(a, b)]
-    for _ in range(levels - 1):
-        mid = mids[-1]
-        a, b = (np.stack(pair, axis=1).reshape(-1, lo.size) for pair in ((a, mid), (mid, b)))
-        mids.append(_midpoint(a, b))
-    return np.concatenate(mids)
-
-
 def _open(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mask of the brackets that still hold a double strictly between their ends."""
     return hi.view(np.int64) - lo.view(np.int64) > 1
@@ -410,12 +367,9 @@ def _bisect(top, floor, ceiling, hs, curve, below, shape, ends, guess):
     ``floor`` stay at 0, the rest flagged ``ceiling`` at ``top``; a
     midpoint is left of the answer where ``below(curve(mid, idx), hs[idx])``.
     The other arguments go to :func:`_certify`, whose certificates settle
-    every midpoint outside ``(a, b)`` without a kernel call.  When every
-    open element waits on the kernel, one call covers the next
-    :func:`_tree_levels` levels: every midpoint those levels could split at
-    that the certificates leave open, breadth first (node ``j``'s children
-    are ``2j+1`` and ``2j+2``); the walk then follows each element's own
-    path through them.  Every step splits where one level per call would.
+    every midpoint outside ``(a, b)`` without a kernel call.  Once they
+    settle none, each open element waits on its next midpoint, and one
+    kernel call takes all of them: one bisection level per call.
     """
     lo = np.where(ceiling & ~floor, top, 0.0)
     hi = np.where(floor, 0.0, top)
@@ -427,7 +381,7 @@ def _bisect(top, floor, ceiling, hs, curve, below, shape, ends, guess):
         left, right = lo[idx].view(np.int64), hi[idx].view(np.int64)
         sure_left, sure_right = a[idx], b[idx]
         while True:
-            mid = (left + right) >> 1  # _midpoint: the sum of two views stays below 2**63
+            mid = (left + right) >> 1  # the sum of two views stays below 2**63
             go, stop = (mid <= sure_left) & (mid > left), mid >= sure_right
             if not (go | stop).any():
                 break
@@ -436,22 +390,10 @@ def _bisect(top, floor, ceiling, hs, curve, below, shape, ends, guess):
         idx = idx[right - left > 1]
         if not idx.size:
             break
-        # every open element now waits on the kernel
-        levels = _tree_levels(idx.size)
-        mids = _tree_midpoints(lo[idx], hi[idx], levels)
-        owner = np.broadcast_to(idx, mids.shape)
-        at = mids.view(np.int64)
-        left = at <= a[owner]
-        wait = ~left & (at < b[owner])
-        left[wait] = below(curve(mids[wait], owner[wait]), hs[owner[wait]])
-        cols, node = slice(None), 0  # the open elements' columns, and their nodes
-        for level in range(levels):
-            el, mid, go = idx[cols], mids[node, cols], left[node, cols]
-            lo[el[go]] = mid[go]
-            hi[el[~go]] = mid[~go]
-            if level + 1 < levels:
-                keep = _open(lo[el], hi[el])
-                cols, node = np.arange(idx.size)[cols][keep], (2 * node + 1 + go)[keep]
+        # every open element now waits on the kernel at its next midpoint
+        mid = ((lo[idx].view(np.int64) + hi[idx].view(np.int64)) >> 1).view(float)
+        go = below(curve(mid, idx), hs[idx])
+        lo[idx[go]], hi[idx[~go]] = mid[go], mid[~go]
         idx = idx[_open(lo[idx], hi[idx])]
     return lo, hi
 

@@ -96,6 +96,13 @@ def _normalized(weights: np.ndarray) -> tuple[np.ndarray, ...]:
     return probs, np.isfinite(weights).all(axis=1), ~(weights < 0).any(axis=1), totals > 0.0
 
 
+def _probability_checks(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a 2-D block: sums to 1 within :data:`DEFAULT_TOLERANCE`; non-increasing within 1e-12."""
+    with np.errstate(all="ignore"):  # a failed row is flagged, never raised
+        sums_to_one = np.abs(probs.sum(axis=1) - 1.0) <= DEFAULT_TOLERANCE
+        return sums_to_one, ~(np.diff(probs, axis=1) > 1e-12).any(axis=1)
+
+
 @dataclass(frozen=True)
 class SortedDistribution:
     """A probability vector sorted in non-increasing order.
@@ -120,12 +127,13 @@ class SortedDistribution:
         if (probs < -1e-12).any():
             raise InvalidEntryError("probs contains negative entries")
         probs = np.where(probs < 0.0, 0.0, probs)
-        if abs(float(probs.sum()) - 1.0) > DEFAULT_TOLERANCE:
+        sums_to_one, non_increasing = _probability_checks(probs[None])
+        if not sums_to_one[0]:
             raise InvalidEntryError(
                 f"probs sums to {float(probs.sum())!r}, expected 1 within "
                 f"{DEFAULT_TOLERANCE}"
             )
-        if (np.diff(probs) > 1e-12).any():
+        if not non_increasing[0]:
             raise InvalidEntryError("probs must be sorted in non-increasing order")
         index = self.original_index
         if index is None:
@@ -200,10 +208,7 @@ def sorted_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     probs, *passed = _normalized(weights)
     probs = -np.sort(-probs, axis=1)
-    with np.errstate(all="ignore"):  # a failed row is flagged, never raised
-        passed.append(np.abs(probs.sum(axis=1) - 1.0) <= DEFAULT_TOLERANCE)
-        passed.append(~(np.diff(probs, axis=1) > 1e-12).any(axis=1))
-    return probs, np.logical_and.reduce(passed)
+    return probs, np.logical_and.reduce([*passed, *_probability_checks(probs)])
 
 
 def entropy_rows(probs: np.ndarray) -> np.ndarray:

@@ -235,8 +235,8 @@ def uncertified_bisect(top, floor, ceiling, hs, curve, below, *certify_args):
     return one_level_bisect(top, floor, ceiling, lambda mid, idx: below(curve(mid, idx), hs[idx]))
 
 
-class TestTreeBatchedBisection:
-    """The certified walk, over one or several tree levels per call, splits where one level per call does."""
+class TestBatchedBisection:
+    """The certified walk, on batches of every size, splits where a kernel call at every midpoint does."""
 
     SHAPES = [(2, 1), (7, 7), (7, 1), (60, 10), (34_220, 120), (10**6, 1), (10**6, 999_999)]
 
@@ -249,23 +249,10 @@ class TestTreeBatchedBisection:
         hs = np.clip(rng.permutation(hs), 0.0, top)
         return [hs[start:start + size] for start in range(0, hs.size, size)]
 
-    @pytest.mark.parametrize("levels", [1, 3, 4, 8])
-    def test_tree_levels_within_budget(self, monkeypatch, levels):
-        points = 2**levels - 1
-        monkeypatch.setattr(bounds_mod, "_TREE_POINTS", points)
-        assert bounds_mod._tree_levels(1) == levels
-        for open_count in range(1, 2 * points + 2):
-            got = bounds_mod._tree_levels(open_count)
-            assert got >= 1
-            assert got == 1 or open_count * (2**got - 1) <= points
-            assert open_count * (2 ** (got + 1) - 1) > points
-
-    @pytest.mark.parametrize("points", [15, 255])
     @pytest.mark.parametrize("bound", ["lower", "upper"])
     @pytest.mark.parametrize("size", [1, 2, 7, 800, 5_000])
-    def test_equals_one_level_per_call(self, monkeypatch, rng, points, bound, size):
+    def test_equals_one_level_per_call(self, monkeypatch, rng, bound, size):
         invert = getattr(bounds_mod, f"_invert_{bound}")
-        monkeypatch.setattr(bounds_mod, "_TREE_POINTS", points)
         for n, m in self.SHAPES:
             for hs in self._batches(n, m, rng, size):
                 ns, ms = np.full(hs.size, n), np.full(hs.size, m)
@@ -325,14 +312,32 @@ class TestCertifiedWalk:
         ns, ms, hs = (np.array(c) for c in zip(*rows))
         self._assert_equal(monkeypatch, bound, ns, ms, np.clip(hs, 0.0, np.log2(ns)))
 
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Count the inversions' kernel calls, per curve, into the returned dict."""
+        calls = {"H_min": 0, "H_max": 0}
+        for name, curve in (("_min_entropy_values", "H_min"), ("max_entropy_values", "H_max")):
+            def counted(*args, kernel=getattr(bounds_mod, name), curve=curve):
+                calls[curve] += 1
+                return kernel(*args)
+            monkeypatch.setattr(bounds_mod, name, counted)
+        return calls
+
     def test_sweep_takes_few_kernel_calls(self, monkeypatch):
-        # one call per bisection level took 62 for the paper figures' sweep
-        calls = []
-        kernel = bounds_mod._min_entropy_values
-        monkeypatch.setattr(bounds_mod, "_min_entropy_values",
-                            lambda *args: calls.append(1) or kernel(*args))
+        # a kernel call at every midpoint took 62 for the paper figures' sweep, on either curve
+        calls = self._count_calls(monkeypatch)
         run_sweep(reference_sweep_config(1))
-        assert len(calls) <= 20
+        assert calls["H_min"] <= 20 and calls["H_max"] <= 32
+
+    @pytest.mark.parametrize("n, m", [(34_220, 120), (11_480, 120), (20, 6), (1500, 1000)])
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_single_inversion_takes_few_kernel_calls(self, monkeypatch, n, m, s):
+        # the composite shapes of ``bounds --k 3`` on 60 objects and of a
+        # 40-object cache scenario, and two paper shapes, at power-law entropies
+        h = sb.entropy(sb.make_distribution(np.arange(1, n + 1) ** -s))
+        calls = self._count_calls(monkeypatch)
+        sb.pi_bounds_tight(n, m, h)
+        assert calls["H_min"] <= 16 and calls["H_max"] <= 24
 
 
 class TestKernelErrorBound:
