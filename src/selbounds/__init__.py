@@ -32,6 +32,7 @@ _EXPORTS = {
             "feasible_pi_range", "make_distribution", "parse_weights", "read_weights",
             "tail_probability",
         ),
+        "curves": ("min_entropy_values",),
         "errors": (
             "AllZeroError", "BadConfigError", "BadEntropyError", "BadKError", "BadMError",
             "BadPHatError", "DuplicateIdError", "InfeasibleError", "InvalidEntryError",
@@ -42,7 +43,7 @@ _EXPORTS = {
             "CandidateEvaluation", "CurveSample", "MinEntropyResult",
             "assemble_min_candidate", "candidate_set", "max_entropy",
             "max_entropy_distribution", "max_entropy_value", "min_entropy",
-            "min_entropy_m1", "min_entropy_value", "min_entropy_values", "piecewise_curve",
+            "min_entropy_m1", "min_entropy_value", "piecewise_curve",
         ),
         "oracle": (
             "REFERENCE_SWEEP_SHAPES", "SamplerSpec", "SweepConfig", "SweepRecord",

@@ -38,7 +38,6 @@ from .core import (
     tail_probability,
 )
 from .errors import NumericFailureError, ValidationError
-from .rng import derive_rng
 
 
 def _lazy(module: str, name: str):
@@ -58,6 +57,7 @@ def _lazy(module: str, name: str):
 
 bounds_for_k = _lazy("bounds", "bounds_for_k")
 build_report = _lazy("bounds", "build_report")
+derive_rng = _lazy("rng", "derive_rng")
 max_entropy_distribution = _lazy("extrema", "max_entropy_distribution")
 min_entropy = _lazy("extrema", "min_entropy")
 piecewise_curve = _lazy("extrema", "piecewise_curve")

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _analytic_bounds, _clamp, _invert_lower, _invert_upper
 from .core import (
     _DEFAULT_MAX_STATES,
     DEFAULT_TOLERANCE,
@@ -35,8 +34,8 @@ from .core import (
     sorted_rows,
 )
 from .errors import BadConfigError, BadKError, BadMError, NumericFailureError, TooLargeError
-from .rng import derive_rng
-from .transform import transform_repeated, transform_unique
+from .inversion import _analytic_bounds, _clamp, _invert_lower, _invert_upper
+from .rng import derive_rng, keyed_rngs, stream_keys
 
 #: The eight (n, m) verification configurations used for the published
 #: scatter experiments; 100 scenarios each reproduces that methodology.
@@ -205,8 +204,10 @@ def _observe_shape(config: SweepConfig, shape_index: int) -> np.ndarray:
     """Observed entropy and tail mass (two rows) of each scenario of one shape.
 
     NaN where a scenario failed.  Scenario ``i`` draws its weights from
-    ``derive_rng(seed, shape_index, i)``; the rows of a block are then
-    checked, normalized and sorted as :func:`sample_distribution` does.
+    the stream of ``derive_rng(seed, shape_index, i)``; the keys of all the
+    shape's streams come from one call, and one Philox is re-keyed per
+    scenario (:func:`~selbounds.rng.keyed_rngs`).  The rows of a block are
+    then checked, normalized and sorted as :func:`sample_distribution` does.
     A shape above the ``SELBOUNDS_MAX_STATES`` cap fails every scenario; a
     malformed cap raises.
     """
@@ -215,13 +216,13 @@ def _observe_shape(config: SweepConfig, shape_index: int) -> np.ndarray:
     out = np.full((2, count), np.nan)
     if n > env_cap("SELBOUNDS_MAX_STATES", _DEFAULT_MAX_STATES):
         return out
+    rngs = keyed_rngs(stream_keys(config.seed, (shape_index,), np.arange(count)))
     rows = max(1, _BLOCK_CELLS // n)
     for start in range(0, count, rows):
         stop = min(start + rows, count)
         block = np.ones((stop - start, n))
         drawn = np.zeros(stop - start, dtype=bool)
-        for row in range(stop - start):
-            rng = derive_rng(config.seed, shape_index, start + row)
+        for row, rng in zip(range(stop - start), rngs):
             try:
                 block[row] = _draw_weights(n, config.sampler, rng)
             except Exception:  # failures are data; the sweep never aborts
@@ -423,6 +424,7 @@ def oracle_transform_check(
         raise BadKError(f"k must satisfy k >= 1, got {k}")
     if n > 6 or k > 3:
         raise TooLargeError("total enumeration is capped at n <= 6, k <= 3")
+    from .transform import transform_repeated, transform_unique  # the sweep never needs them
     if rng is None:
         rng = derive_rng(0)
     sampler = SamplerSpec()

@@ -20,7 +20,7 @@ from mpmath import mp, mpf, log
 import selbounds.oracle as oracle
 from selbounds.bounds import TightInverter
 from selbounds.core import entropy, entropy_terms, tail_probability
-from selbounds.extrema import _candidate_entropies
+from selbounds.curves import _candidate_entropies
 
 mp.dps = 50
 

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mpf
 
 import selbounds as sb
-import selbounds.bounds as bounds_mod
+import selbounds.inversion as inversion
 from helpers import (
     batch_entropy,
     feasible_batch,
@@ -19,8 +19,8 @@ from helpers import (
     mp_min_entropy,
     reference_analytic,
 )
-from selbounds.bounds import _analytic_bounds
-from selbounds.extrema import max_entropy_values
+from selbounds.curves import max_entropy_values
+from selbounds.inversion import _analytic_bounds
 from selbounds.oracle import (
     REFERENCE_SWEEP_SHAPES,
     _observe_shape,
@@ -136,7 +136,7 @@ class TestTightBounds:
         # edge of the flat zero is taken from math.log2, as for one shape
         ms = np.array([1621, 3242, 6484, 12968])
         hs = np.array([math.log2(m) for m in ms.tolist()])
-        assert bounds_mod._invert_lower(2 * ms + 1, ms, hs).tolist() == [0.0] * 4
+        assert inversion._invert_lower(2 * ms + 1, ms, hs).tolist() == [0.0] * 4
         assert [sb.pi_bounds_tight(2 * m + 1, m, h)[0] for m, h in zip(ms, hs)] == [0.0] * 4
 
     def test_binary_entropy_point(self):
@@ -213,7 +213,7 @@ class TestTightUpperInversion:
             mixed += [(n, m, h, v) for h, v in zip(hs.tolist(), scalar)]
         # one call over every shape at once, in shuffled order, as the sweep makes it
         ns, ms, hs, want = (np.array(c) for c in zip(*rng.permutation(np.array(mixed))))
-        got = getattr(bounds_mod, f"_invert_{bound}")(ns.astype(int), ms.astype(int), hs)
+        got = getattr(inversion, f"_invert_{bound}")(ns.astype(int), ms.astype(int), hs)
         assert got.tolist() == want.tolist()
 
 
@@ -252,13 +252,13 @@ class TestBatchedBisection:
     @pytest.mark.parametrize("bound", ["lower", "upper"])
     @pytest.mark.parametrize("size", [1, 2, 7, 800, 5_000])
     def test_equals_one_level_per_call(self, monkeypatch, rng, bound, size):
-        invert = getattr(bounds_mod, f"_invert_{bound}")
+        invert = getattr(inversion, f"_invert_{bound}")
         for n, m in self.SHAPES:
             for hs in self._batches(n, m, rng, size):
                 ns, ms = np.full(hs.size, n), np.full(hs.size, m)
                 got = invert(ns, ms, hs)
                 with monkeypatch.context() as patch:
-                    patch.setattr(bounds_mod, "_bisect", uncertified_bisect)
+                    patch.setattr(inversion, "_bisect", uncertified_bisect)
                     want = invert(ns, ms, hs)
                 assert got.tobytes() == want.tobytes(), (n, m, hs)
 
@@ -267,9 +267,9 @@ class TestBatchedBisection:
         rows = [(n, m, h) for n, m in self.SHAPES for h in self._batches(n, m, rng, 6)[0]]
         ns, ms, hs = (np.array(c) for c in zip(*rng.permutation(np.array(rows, dtype=object))))
         ns, ms, hs = ns.astype(int), ms.astype(int), hs.astype(float)
-        invert = getattr(bounds_mod, f"_invert_{bound}")
+        invert = getattr(inversion, f"_invert_{bound}")
         got = invert(ns, ms, hs)
-        monkeypatch.setattr(bounds_mod, "_bisect", uncertified_bisect)
+        monkeypatch.setattr(inversion, "_bisect", uncertified_bisect)
         assert got.tobytes() == invert(ns, ms, hs).tobytes()
 
 
@@ -288,10 +288,10 @@ class TestCertifiedWalk:
 
     @staticmethod
     def _assert_equal(monkeypatch, bound, ns, ms, hs):
-        invert = getattr(bounds_mod, f"_invert_{bound}")
+        invert = getattr(inversion, f"_invert_{bound}")
         got = invert(ns, ms, hs)
         with monkeypatch.context() as patch:
-            patch.setattr(bounds_mod, "_bisect", uncertified_bisect)
+            patch.setattr(inversion, "_bisect", uncertified_bisect)
             want = invert(ns, ms, hs)
         assert got.tobytes() == want.tobytes()
 
@@ -316,11 +316,11 @@ class TestCertifiedWalk:
     def _count_calls(monkeypatch):
         """Count the inversions' kernel calls, per curve, into the returned dict."""
         calls = {"H_min": 0, "H_max": 0}
-        for name, curve in (("_min_entropy_values", "H_min"), ("max_entropy_values", "H_max")):
-            def counted(*args, kernel=getattr(bounds_mod, name), curve=curve):
+        for name, curve in (("min_entropy_values", "H_min"), ("max_entropy_values", "H_max")):
+            def counted(*args, kernel=getattr(inversion, name), curve=curve):
                 calls[curve] += 1
                 return kernel(*args)
-            monkeypatch.setattr(bounds_mod, name, counted)
+            monkeypatch.setattr(inversion, name, counted)
         return calls
 
     def test_sweep_takes_few_kernel_calls(self, monkeypatch):
@@ -338,6 +338,14 @@ class TestCertifiedWalk:
         calls = self._count_calls(monkeypatch)
         sb.pi_bounds_tight(n, m, h)
         assert calls["H_min"] <= 16 and calls["H_max"] <= 24
+
+    @pytest.mark.parametrize("n, m", [(34_220, 120), (20, 6)])
+    @pytest.mark.parametrize("h", [1e-6, 1e-3, 0.01, 0.1, 0.29])
+    def test_single_inversion_at_small_entropy_takes_few_kernel_calls(self, monkeypatch, n, m, h):
+        # the seed leaves wider brackets below 0.3 bits: 35-36 H_min calls at 1e-6 bits
+        calls = self._count_calls(monkeypatch)
+        sb.pi_bounds_tight(n, m, h)
+        assert calls["H_min"] <= 40
 
 
 class TestKernelErrorBound:
@@ -366,7 +374,7 @@ class TestKernelErrorBound:
     def _within_half_eps(kernel, truth, n, m, pi):
         got = float(kernel(n, m, np.array([pi]))[0])
         want = truth(n, m, pi)
-        half_eps = float(bounds_mod._kernel_error(np.array([float(want)]))[0]) / 2
+        half_eps = float(inversion._kernel_error(np.array([float(want)]))[0]) / 2
         return abs(mpf(got) - want) <= half_eps
 
     def test_minimum_entropy_kernel(self, rng):

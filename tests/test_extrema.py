@@ -395,7 +395,7 @@ def _edge_shapes(rng):
 
 class TestCandidateEntropyKernel:
     def test_kernel_matches_assembled_entropy(self, rng):
-        from selbounds.extrema import _candidate_entropies
+        from selbounds.curves import _candidate_entropies
 
         for shape in _edge_shapes(rng):
             n, m, pi = shape.n, shape.m, shape.pi
@@ -532,7 +532,7 @@ class TestPiecewiseCurve:
 
 def reference_candidates(shape):
     """The candidate tuple :func:`min_entropy` built before it kept columns."""
-    from selbounds.extrema import _candidate_entropies
+    from selbounds.curves import _candidate_entropies
 
     m, pi = shape.m, shape.pi
     if pi == 0.0:
@@ -544,7 +544,7 @@ def reference_candidates(shape):
 
 def reference_curve(shape, samples):
     """:func:`piecewise_curve` as a distance matrix and one dataclass per point."""
-    from selbounds.extrema import _candidate_entropies, _tail_split
+    from selbounds.curves import _candidate_entropies, _tail_split
 
     n, m, pi = shape.n, shape.m, shape.pi
     junctions = sb.candidate_set(shape)

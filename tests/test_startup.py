@@ -46,13 +46,15 @@ tail_probability transform_repeated transform_unique zipf_weights
 
 #: The names ``selbounds.cli`` forwards to a module it imports on first call.
 CLI_FORWARDERS = {
-    "bounds_for_k", "build_report", "max_entropy_distribution", "min_entropy",
+    "bounds_for_k", "build_report", "derive_rng", "max_entropy_distribution", "min_entropy",
     "piecewise_curve", "oracle_min_entropy", "oracle_transform_check",
     "parse_sweep_config", "records_to_csv", "reference_sweep_config", "run_sweep",
     "parse_scenario_config", "run_scenario", "transform_repeated", "transform_unique",
 }
 
-COMMAND_MODULES = {"bounds", "extrema", "oracle", "scenarios", "transform"}
+COMMAND_MODULES = {
+    "bounds", "curves", "extrema", "inversion", "oracle", "rng", "scenarios", "transform",
+}
 
 #: Worker-pool modules: no command loads them, as their import would add to
 #: every process's start-up.
@@ -115,15 +117,18 @@ COMMANDS = {
     "oracle-check": ("oracle-check", "--transform", "--n", "4", "--k", "2", "--trials", "3"),
 }
 
-#: Modules each command must leave unloaded.
+#: Modules each command must leave unloaded.  ``bounds``, ``scenario`` and
+#: ``sweep`` leave the distribution builders (``extrema``) unloaded; the
+#: sweep loads the closed-form curves and their inversion, not the report
+#: layer (``bounds``) or the transforms it imports.
 UNLOADED = {
-    "bounds": {"oracle", "scenarios"},
-    "extrema": COMMAND_MODULES - {"extrema"},
-    "curve": COMMAND_MODULES - {"extrema"},
+    "bounds": {"extrema", "oracle", "rng", "scenarios"},
+    "extrema": COMMAND_MODULES - {"curves", "extrema"},
+    "curve": COMMAND_MODULES - {"curves", "extrema"},
     "transform": COMMAND_MODULES - {"transform"},
-    "sweep": {"scenarios"},
-    "scenario": {"oracle"},
-    "oracle-check": {"scenarios"},
+    "sweep": {"bounds", "extrema", "scenarios", "transform"},
+    "scenario": {"extrema", "oracle"},
+    "oracle-check": {"bounds", "extrema", "scenarios"},
 }
 
 
