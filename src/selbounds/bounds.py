@@ -17,8 +17,8 @@ all call it.
 *Tight numeric bounds.*  :class:`TightInverter`, :func:`pi_bounds_tight`
 and :func:`build_report` invert the exact extremal-entropy curves of
 :mod:`~selbounds.curves` through :mod:`~selbounds.inversion`, whose
-docstring proves the inversion returns the doubles of a plain bisection,
-each on the safe side of its curve's crossing.
+docstring proves each bound is on the safe side of its exact curve's
+crossing.
 
 Merit-probability bounds are exact complements of the opposite error
 bounds, clamped into ``[m/n, 1]``.

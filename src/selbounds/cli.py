@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary-out", metavar="PATH",
                    help="also write the summary JSON to PATH")
     p.add_argument("--threads", type=int, default=1,
-                   help="ignored: everything runs in one thread (kept because "
+                   help="ignored: the sweep runs in one thread (kept because "
                         "the perfbench sweep workload passes --threads 1)")
 
     p = sub.add_parser(

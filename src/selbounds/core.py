@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -79,6 +80,25 @@ def entropy_terms(x) -> np.ndarray:
     np.log2(x, out=out, where=live)
     np.multiply(out, x, out=out, where=live)
     return np.negative(out, out=out, where=live)
+
+
+#: ``1/ln 2``, rounded once: :func:`complement_entropy_terms` divides by ``ln 2`` through it.
+_LOG2_E = 1.0 / math.log(2.0)
+
+
+def complement_entropy_terms(d) -> np.ndarray:
+    """Elementwise ``entropy_terms(1 - d)``, taken from ``d`` as ``-(1-d)*log1p(-d)/ln 2``.
+
+    ``1 - d`` rounded to a double drops up to ``2**-53`` of ``d``; through
+    ``log1p`` each term keeps the relative precision of ``d`` however
+    small ``d`` is.  +0.0 where ``d >= 1``, and for NaN.
+    """
+    d = np.asarray(d, dtype=float)
+    live = d < 1.0
+    out = np.zeros(d.shape)
+    np.log1p(-d, out=out, where=live)
+    np.multiply(out, 1.0 - d, out=out, where=live)
+    return np.multiply(out, -_LOG2_E, out=out, where=live)
 
 
 def _normalized(weights: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -212,11 +232,18 @@ def sorted_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
-    """Base-2 entropy of each row of a 2-D block of valid probabilities.
+    """Base-2 entropy of each row of a 2-D block of valid probabilities, sorted non-increasing.
 
     Each row sums its :func:`entropy_terms`; a -0.0 sum comes back +0.0.
+    A first entry above 1/2 takes its term from the rest of the row, ``d``,
+    as :func:`complement_entropy_terms` of ``d``: the entry's own rounding
+    (up to ``2**-53``) would otherwise outweigh a rest far below that.
     """
-    sums = entropy_terms(probs).sum(axis=1)
+    terms = entropy_terms(probs)
+    head = probs[:, 0] > 0.5
+    if head.any():
+        terms[head, 0] = complement_entropy_terms(probs[head, 1:].sum(axis=1))
+    sums = terms.sum(axis=1)
     return np.where(sums > 0.0, sums, 0.0)
 
 

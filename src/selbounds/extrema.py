@@ -257,12 +257,15 @@ def min_entropy(shape: SystemShape) -> MinEntropyResult:
         p_hats = bits = np.zeros(1)
     else:
         p_hats = candidate_set(shape) if m > 1 else np.array([1.0 - pi])
-        bits = _blockwise(lambda p: _candidate_entropies(m, pi, p), p_hats, float)
+        bits = _blockwise(lambda p: _candidate_entropies(n, m, pi, p), p_hats, float)
     argmin = int(np.argmin(bits))
     candidates = ColumnRows(
         CandidateEvaluation, {"p_hat": p_hats, "entropy_bits": bits}, shape=shape
     )
-    return MinEntropyResult(shape, y, candidates, argmin, float(bits[argmin]))
+    lowest = float(bits[argmin])
+    if pi >= (n - m) / n:  # capped at H_max, as min_entropy_values does
+        lowest = min(lowest, max_entropy_value(n, m, pi))
+    return MinEntropyResult(shape, y, candidates, argmin, lowest)
 
 
 def min_entropy_value(n: int, m: int, pi: float) -> float:
@@ -317,7 +320,7 @@ def piecewise_curve(shape: SystemShape, samples: int) -> ColumnRows:
     del junctions  # freed before the kernels run
     return ColumnRows(CurveSample, {
         "p_hat": points,
-        "entropy_bits": _blockwise(lambda p: _candidate_entropies(m, pi, p), points, float),
+        "entropy_bits": _blockwise(lambda p: _candidate_entropies(n, m, pi, p), points, float),
         "segment_index": _blockwise(lambda p: (n - m) - _tail_split(pi, p)[0], points, np.int64),
         "is_junction": is_junction,
     })

@@ -7,17 +7,12 @@ curves of :mod:`~selbounds.curves`.  The report layer in
 :mod:`~selbounds.bounds` and the sweep in :mod:`~selbounds.oracle` both
 call these functions, and the sweep needs nothing else from the bounds.
 
-*Tight numeric bounds.*  The exact extremal curves are inverted by one
-batched bisection, :func:`_bisect`, over arrays of ``(n, m, h)`` that may
-mix shapes: :func:`_invert_lower` bisects the strictly increasing maximum
-entropy ``H_max(pi)``; :func:`_invert_upper` bisects the exact discrete
+*Tight numeric bounds.*  Over arrays of ``(n, m, h)`` that may mix
+shapes, :func:`_invert_lower` inverts the strictly increasing maximum
+entropy ``H_max(pi)`` and :func:`_invert_upper` the exact discrete
 minimum ``H_min(pi)``, which is non-decreasing and which
 :func:`~selbounds.curves.min_entropy_values` takes from a fixed number
-of junctions per ``pi``, whatever ``n``.  Every element is bisected on
-its own, on the int64 views of its doubles, so an answer does not depend
-on the other elements of the call, until its bracket's ends are adjacent
-doubles; the lower bound is the bracket's low end and the upper bound its
-high end, so each is on the safe side of its curve's crossing, to the ulp.
+of junctions per ``pi``, whatever ``n``.
 :class:`~selbounds.bounds.TightInverter`,
 :func:`~selbounds.bounds.pi_bounds_tight`,
 :func:`~selbounds.bounds.build_report` and the sweep all call these two
@@ -25,63 +20,95 @@ functions.  Take any feasible ``p`` with tail mass ``pi' > pi`` and move
 ``pi' - pi`` from its smallest tail entries onto ``p[0]``: the result is
 still sorted, has tail mass ``pi`` and majorizes ``p``, so its entropy is
 no higher.  Hence ``H_min(pi) <= H_min(pi')``, and
-``{pi : H_min(pi) <= h}`` is an interval starting at 0 whose right end
-the bisection finds.
+``{pi : H_min(pi) <= h}`` is an interval starting at 0.
 
-*The certified walk.*  The bisection takes the path of one that calls the
-kernel at every midpoint, but skips the calls whose outcome is certain.
-Write ``T`` for a curve, ``K`` for its kernel and
-``eps(t) = 2**-46 * max(t, 1)`` (:func:`_kernel_error`).  Suppose
+*Certificates.*  Write ``T`` for a curve, ``K`` for its kernel,
+``u = 2**-53`` and ``eps(t) = 2**-46 * t + 2**-1010``
+(:func:`_kernel_error`).  Both kernels satisfy
 
     |K(pi) - T(pi)| <= eps(T(pi))/2      at every double pi in [0, top)   (*)
 
-Both ``t - eps(t)/2`` and ``t + eps(t)/2`` increase with ``t``, and ``T``
-is non-decreasing.  If ``K(a) <= h - 5*eps(h)/4``, then for every
-midpoint ``x <= a``, ``K(x) <= T(x) + eps(T(x))/2 <= T(a) + eps(T(a))/2
-<= K(a) + eps(T(a))``; ``T(a) < h`` (else ``K(a) >= T(a) - eps(T(a))/2
->= h - eps(h)/2``), so ``K(x) <= K(a) + eps(h) < h``: ``x`` is below
-``h`` under either test, ``K < h`` or ``K <= h``.  If
-``K(b) >= h + 5*eps(h)/4``, then for every ``x >= b``,
-``K(x) >= T(b) - eps(T(b))/2 >= K(b) - eps(T(b))``, and
-``eps(T(b)) <= eps(K(b)) * (1 + 2**-45)``, which leaves ``K(x) > h``.
-The rounding of ``h -+ 5*eps/4`` is under ``eps/64``, inside the slack.
-:func:`_certify` finds such ``a`` and ``b`` close around each crossing,
-and :func:`_bisect` calls the kernel only at midpoints strictly between
-them, so it returns the same doubles as the bisection that calls it
-everywhere.  A bound looser than needed only costs calls; one too tight
-would change answers, which the tests comparing the two bisections catch.
+(proved below).  Both ``t - eps(t)/2`` and ``t + eps(t)/2`` increase
+with ``t``.  So if ``K(a) <= h - 3*eps(h)/4``, then ``T(a) < h``, since
+``T(a) >= h`` would give ``K(a) >= T(a) - eps(T(a))/2 >= h - eps(h)/2``;
+as ``H_max`` increases, ``a`` lies below the least ``pi`` with
+``H_max(pi) >= h``, a lower bound.  Likewise ``K(b) >= h + 3*eps(h)/4``
+gives ``T(b) > h``; as ``H_min`` does not decrease, ``b`` lies above the
+greatest ``pi`` with ``H_min(pi) <= h``, an upper bound.  The rounding of
+``h -+ 3*eps/4`` is under ``u*h``, inside the slack of ``eps/4``.  Such a
+certificate is safe against the exact curve, on whichever side of it the
+kernel's own crossing falls.  :func:`_invert_lower` returns an ``a`` and
+:func:`_invert_upper` a ``b``; 0 and ``top``, the largest tail mass
+reported, bound every answer and stand where nothing tighter is found.  A pair with ``b <= a`` would
+contradict (*): :func:`_certify` raises
+:class:`~selbounds.errors.NumericFailureError` on one.
 
-Why (*) holds, with ``u = 2**-53`` and ``fe(t) = -t*log2(t)``.  Each
-candidate value of ``H_min`` (a junction, or the right endpoint) is a sum
-of non-negative terms ``fe`` of its entries, times their counts.  The
-rounding of ``pi/s`` or ``(1-pi)/m``, of ``log2`` and of the products and
-sums costs at most ``16u*H``.  The head entry
-``y = (1-pi) - (m-1)*p`` is off by at most ``4u`` absolute; it is the
-largest entry, so ``|fe'(y)| = log2(1/y) + log2(e) <= H + 1.45`` (the
-min-entropy is at most the entropy), which adds ``4u*(H + 1.45)``.  The
-right endpoint's remainder ``pi - c*p`` is off by at most ``u*pi``
-(Sterbenz), adding at most ``fe(u*pi) <= 53u*pi + u*H``.  The junctions
-the kernel evaluates hold the lowest one up to ties within rounding
-(:mod:`~selbounds.curves`), and a minimum is off by at most the largest
-error of the values it compares.  Together that is under
-``64u*max(H, 1) = eps/2``: for ``pi > 1/2`` every entry is at most
-``1 - pi``, so ``H >= log2(1/(1-pi)) > 1`` outgrows ``53u*pi``.  ``H_max = fe(1-pi) + fe(pi) +
-(1-pi)*log2(m) + pi*log2(n-m)`` is off by at most ``8u*H + 2u``.
-Subnormal terms err by less than ``2**-1070``.  ``n`` enters only through
-``H <= log2 n``; tests check (*) against the 50-digit curves.
+*The search.*  :func:`_certify` wants each returned certificate within
+``_TIGHT*eps = 3*eps`` of ``h``: ``K(a) >= h - 3*eps`` or
+``K(b) <= h + 3*eps``.  Its first kernel call samples each shape's curve
+on a fixed grid of ``top`` (``_GRID``), which brackets every crossing,
+and, for ``H_min``, tries :func:`_arc_crossing`, the closed-form crossing
+of the right endpoint, which is ``H_min`` for the larger tail masses.
+Each later call takes two points per open element, aimed where its
+estimate reads ``h -+ d``: the estimate is the crossing's bracket's
+chord, or the quadratic through the three points nearest ``h`` where
+that falls inside the bracket; ``d`` is twice the last aim's miss, at
+least ``_REACH*eps``, mid-way between the margin and ``_TIGHT*eps``.
+Each element also keeps the nearest point ``f`` known not to certify the
+end it returns.  Where its aim is unusable, or the last call did not
+halve the doubles between that end and ``f``, it takes two midpoints of
+that search bracket instead: in doubles, so the bracket at least halves
+every second call, and the geometric one in distance to ``top``, where
+both curves flatten and a crossing within ``eps`` of ``log2 n`` lies far
+from the points the aims sample.  An element is done once its end is
+within ``3*eps`` of ``h``, no double lies between its end and ``f``, or
+``a`` and ``b`` are at most 4 ulps apart.  Every element's points depend
+only on its own ``(n, m, h)`` and its shape's grid, so a batched answer
+equals the scalar one.
 
-*The seed.*  :func:`_certify` makes at most ``_SEED_CALLS`` kernel calls.
-The first samples each shape's curve on a fixed grid of ``top``
-(``_GRID``), which brackets every crossing, and, for ``H_min``, tries
-:func:`_arc_crossing`, the closed-form crossing of the right endpoint,
-which is ``H_min`` for the larger tail masses.  Each later call takes two
-points per open element, aimed where its estimate reads ``h -+ d``: the
-estimate is the bracket's chord, or the quadratic through the three
-points nearest ``h`` where that falls inside the bracket; ``d`` is twice
-the last aim's miss, at least ``_REACH*eps``.  An element is done once
-both points aimed at ``h -+ _REACH*eps`` certify.  The walk then needs
-about ``log2`` of the doubles between ``a`` and ``b`` calls, one
-bisection level each.
+*Why (*) holds.*  Let ``fe(t) = -t*log2(t)``, and take ``log2`` and
+``log1p`` within one ulp (``2u`` relative).  Each candidate value of
+``H_min`` (a junction, or the right endpoint) and ``H_max`` is a sum of
+at most four non-negative terms; below, each term's error is bounded by
+a multiple of ``u`` times the candidate's exact value ``H``.  A minimum
+of values each within ``r*H`` of their own is within ``r*T`` of ``T``,
+and so are ``max(., 0)`` and the cap at ``H_max`` at the ceiling, since
+``H_min <= H_max``.  The junctions the kernel evaluates hold the lowest
+one up to ties within rounding (:mod:`~selbounds.curves`).
+
+- *Entries.*  A term ``c*fe(x)`` of an entry ``x <= 1/2`` computed
+  within ``2u`` of exact (``pi/s``, ``pi``, or the right endpoint
+  ``(1-pi)/m``; for ``m = 1`` that one has copies only where
+  ``pi >= 1/2``) is within ``6u`` of itself: ``|x*fe'(x)/fe(x)| =
+  |1 - log2(e)/log2(1/x)| <= 1`` there, and the log and two products
+  round.  ``(1-pi)*log2(m)`` and ``pi*log2(n-m)`` are within ``4u``.
+- *The head entry* ``y = 1 - d``, with ``d = pi + (m-1)*p`` within
+  ``4u*d``, is :func:`~selbounds.core.complement_entropy_terms` of
+  ``d``.  For ``d <= 1/2`` its relative sensitivity to ``d`` is at most
+  1, so it is within ``10u`` of itself.  For ``d > 1/2``, ``y < 1/2`` is
+  the largest entry, so ``H >= log2(1/y) >= 1``; ``1 - d`` is exact
+  (Sterbenz), and ``|fe'(y)| <= 1.45*H`` turns the ``4u`` in ``d`` into
+  ``6u*H``, for ``12u*H`` with its own rounding.
+- *The right endpoint's remainder* ``pi - c*p`` (``c >= 1`` slots; with
+  none it is ``pi`` itself) moves by at most ``3u*pi`` (the error of
+  ``p``, the product, an exact subtraction), so its term by at most
+  ``fe(3u*pi) <= 3u*pi*(51.5 + log2(1/pi))``.  As ``H >= fe(pi)`` and,
+  with the ``m + c`` entries ``p`` holding at least ``1 - p``,
+  ``H >= (1-p)*log2(1/p)`` with ``p <= 1/(m+1)``, that is at most
+  ``40u*H``: ``(1 - m*p)/((1-p)*log2(1/p))`` is at most 0.34 for
+  ``m = 2``, where ``p`` is within ``u`` (halving is exact), and 0.24
+  for ``m >= 3``; for ``m = 1``, ``p = 1 - pi`` is exact and ``p <= 1/3``
+  wherever the product rounds.
+
+Sums add ``3u*H``.  A junction is then within ``17u*H``, the right
+endpoint within ``61u*H`` and ``H_max`` within ``9u*H``, all under
+``eps(H)/2 = 64u*H``.  Subnormal entries and products err by at most
+``2**-1075`` each, times ``log2(1/x) + 2 < 2**11`` and a count under
+``2**53`` (``n`` is exact as a double): the floor ``2**-1011`` of
+``eps/2`` covers them.  ``n`` enters only through ``H <= log2 n``.
+Tests check (*) against the 50-digit curves: the largest errors seen
+are about ``10u*T`` (``H_min``, next to the right endpoint's corners) and
+``3u*T`` (``H_max``).
 """
 
 from __future__ import annotations
@@ -91,6 +118,7 @@ import math
 import numpy as np
 
 from .curves import max_entropy_values, min_entropy_values
+from .errors import NumericFailureError
 
 
 def _clamp(x, lo, hi):
@@ -111,10 +139,18 @@ def _analytic_bounds(n: int, m: int, hs: np.ndarray) -> tuple[np.ndarray, ...]:
     ``h*s/((n-j)*log2(n*s/(n-m)))`` with ``s = n-m-j+1`` over every
     ``j = 1..n-m`` (a superset of the shape-dependent junction count, which
     depends on the unknown tail mass; maximizing over the superset is still
-    valid) and, for ``m >= 2``, ``1 - h/log2 m``.  The junction
-    denominators are computed once; each entropy then takes one row of
-    ``n-m`` entries, so memory does not grow with ``len(hs)``.  ``lb`` is
-    clamped into ``[0, (n-m)/n]`` and ``ub`` into ``[lb, (n-m)/n]``.
+    valid) and, for ``m >= 2``, ``1 - h/log2 m``.  ``lb`` is clamped into
+    ``[0, (n-m)/n]`` and ``ub`` into ``[lb, (n-m)/n]``.
+
+    Each junction entry is ``h`` times the ratio ``s/den``, so for
+    ``h >= 0`` the largest is at the largest ratio.  The rounded entry
+    ``fl(fl(h*s)/den)`` is a rounding of a value within ``2u`` of
+    ``h*s/den`` (``u = 2**-53``), and the ratios as computed are within
+    ``u`` of theirs; rounding is monotone, so an entry whose computed ratio
+    is below ``1 - 2**-48`` of the largest cannot round above the largest
+    one's entry.  Only the ``j`` within that band are evaluated, and the
+    maximum over them is the maximum over every ``j``, bit for bit; the
+    cost is ``O(n-m)`` once and ``O(1)`` per entropy.
     """
     top = (n - m) / n
     if 2 * m >= n:
@@ -127,62 +163,96 @@ def _analytic_bounds(n: int, m: int, hs: np.ndarray) -> tuple[np.ndarray, ...]:
     if m < n:
         slots = np.arange(n - m, 0, -1, dtype=float)
         den = (n - np.arange(1, n - m + 1)) * np.log2(n * slots / (n - m))
-        junction = np.array([((h * slots) / den).max() for h in hs.tolist()])
+        ratio = slots / den
+        best = ratio >= ratio.max() * (1.0 - 2.0**-48)
+        junction = ((hs[:, None] * slots[best]) / den[best]).max(axis=1)
         # max(junction, entry) as Python takes it: the junction wins ties
         ub_raw = junction if m == 1 else np.where(ub_raw > junction, ub_raw, junction)
     lb = _clamp(lb_raw, 0.0, top)
     return lb, _clamp(ub_raw, lb, top), lb_raw, ub_raw
 
 
-def _open(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mask of the brackets that still hold a double strictly between their ends."""
-    return hi.view(np.int64) - lo.view(np.int64) > 1
-
-
 def _kernel_error(hs: np.ndarray) -> np.ndarray:
-    """``eps = 2**-46 * max(h, 1)``: both kernels err by at most ``eps/2`` (module docstring)."""
-    return np.ldexp(np.maximum(hs, 1.0), -46)
+    """``eps = 2**-46 * h + 2**-1010``: both kernels err by at most ``eps/2`` (module docstring)."""
+    return np.ldexp(hs, -46) + 2.0**-1010
 
 
-#: Fractions of ``top`` at which the seed's first kernel call samples each
+#: Fractions of ``top`` at which the first kernel call samples each
 #: shape's curve: 16 powers of two from 2**-998 up to 2**-8, then 127
 #: evenly spaced.
 _GRID = np.array([2.0**-e for e in range(998, 7, -66)] + [i / 128 for i in range(1, 128)])
-#: Most kernel calls of the seed.  The answers do not depend on it.
-_SEED_CALLS = 8
 #: A kernel value at least ``_MARGIN*eps`` from ``h`` certifies its side.
-_MARGIN = 1.25
-#: The seed aims at ``h -+ _REACH*eps``, just outside that band.
-_REACH = 1.5
+_MARGIN = 0.75
+#: A certificate within ``_TIGHT*eps`` of ``h`` is as tight as the bound needs.
+_TIGHT = 3.0
+#: The aims are at ``h -+ _REACH*eps``, mid-way between the two.
+_REACH = (_MARGIN + _TIGHT) / 2
+#: Most kernel calls of one inversion.  A search bracket at least halves
+#: every second call, and holds fewer than ``2**63`` doubles.
+_MAX_CALLS = 130
 
 
 def _inverse_quadratic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per row, ``x`` at ``y = 0`` on the quadratic in ``y`` through three points (Newton form)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d01 = (x[:, 1] - x[:, 0]) / (y[:, 1] - y[:, 0])
-        d12 = (x[:, 2] - x[:, 1]) / (y[:, 2] - y[:, 1])
-        return x[:, 0] - y[:, 0] * (d01 - y[:, 1] * (d12 - d01) / (y[:, 2] - y[:, 0]))
+    """``x`` at ``y = 0`` on the quadratic in ``y`` through three points (Newton form).
 
-
-def _certify(lo, hi, hs, curve, shape, ends, guess):
-    """Per element, int64 views ``(a, b)``: a midpoint ``<= a`` is below, one ``>= b`` is not.
-
-    ``curve(pi, idx)`` is the kernel at tail masses ``pi`` for elements
-    ``idx``; elements with equal ``shape`` keys have equal curves, whose
-    values at 0 and at ``hi`` are ``ends``.  ``guess`` holds an estimate
-    of each crossing and of the curve's slope there, NaN where there is
-    none.  See the module docstring.
+    ``x`` and ``y`` hold one row per point and one column per element.
     """
-    a, b = lo.view(np.int64).copy(), hi.view(np.int64).copy()
-    idx = np.flatnonzero(_open(lo, hi))
-    if not idx.size:
-        return a, b
-    h, eps = hs[idx], _kernel_error(hs[idx])
+    d01 = (x[1] - x[0]) / (y[1] - y[0])
+    d12 = (x[2] - x[1]) / (y[2] - y[1])
+    return x[0] - y[0] * (d01 - y[1] * (d12 - d01) / (y[2] - y[0]))
 
-    def aim(at, center, slope, spread):
-        """Per element ``at``, where the line through ``center`` reads ``h -+ spread``, inside ``(a, b)``."""
-        x = center[:, None] + (spread / slope)[:, None] * [-1.0, 1.0]
-        return np.clip(x.view(np.int64), a[idx[at], None] + 1, b[idx[at], None] - 1).view(float)
+
+def _last_columns(ks: np.ndarray, row: np.ndarray, bars: np.ndarray) -> np.ndarray:
+    """Per bar, the last column of its element's row of ``ks`` at or below the bar.
+
+    ``bars`` holds one column per element.  The row's first column is taken
+    to be at or below every bar and its last above it; the columns between
+    are bisected, so a monotone row gives its crossing.
+    """
+    j, stop = np.zeros(bars.shape, np.int64), np.full(bars.shape, ks.shape[1] - 1)
+    while (wide := stop - j > 1).any():
+        mid = (j + stop) // 2
+        go = ks[row, mid] <= bars
+        j, stop = np.where(wide & go, mid, j), np.where(wide & ~go, mid, stop)
+    return j
+
+
+def _gap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per element, how many doubles apart ``x >= 0`` and ``y >= 0`` are."""
+    return np.abs(x.view(np.int64) - y.view(np.int64))
+
+
+def _between(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``x`` clipped to the doubles strictly between ``u >= 0`` and ``v >= 0``, in either order."""
+    u, v = u.view(np.int64), v.view(np.int64)
+    return np.clip(x.view(np.int64), np.minimum(u, v) + 1, np.maximum(u, v) - 1).view(float)
+
+
+def _certify(lo, hi, hs, curve, shape, ends, guess, upper):
+    """Per element, a double on the safe side of its exact curve's crossing of ``hs``.
+
+    Returns ``a`` with ``K(a) <= h - _MARGIN*eps`` or, where ``upper``,
+    ``b`` with ``K(b) >= h + _MARGIN*eps``; ``lo`` and ``hi`` bound each
+    answer and stand where no tighter double is found.  ``curve(pi, idx)``
+    is the kernel at tail masses ``pi`` for elements ``idx``; elements with
+    equal ``shape`` keys have equal curves, whose values at 0 and at ``hi``
+    are ``ends``.  ``guess`` holds an estimate of each crossing and of the
+    curve's slope there, NaN where there is none.  See the module docstring.
+    """
+    out = (hi if upper else lo).copy()
+    idx = np.flatnonzero(_gap(lo, hi) > 1)
+    if not idx.size:
+        return out
+    # Per open element, one column of the state: the certificates a and b;
+    # the nearest point f known not to certify the returned one; the
+    # crossing's bracket (pl, pr), K(pl) <= h < K(pr); the three points
+    # nearest h; each point with its kernel value; and how far the last aim
+    # missed, in bits.
+    state = np.empty((19, idx.size))
+    a, ka, b, kb, f, kf, pl, kl, pr, kr, h, eps, miss = state[:13]
+    xs, ks = state[13:16], state[16:19]
+    h[:] = hs[idx]
+    eps[:] = _kernel_error(h)
 
     # First call: each shape's curve on the grid, and the aim of each guess.
     keys = shape[idx].tolist()
@@ -193,107 +263,93 @@ def _certify(lo, hi, hs, curve, shape, ends, guess):
     reps = idx[list(first.values())]
     grid = hi[reps, None] * _GRID
     center, slope = (g[idx] for g in guess)
-    at = np.flatnonzero(np.isfinite(center) & (slope > 0) & np.isfinite(slope))
-    spread = _REACH * eps[at]
-    x = aim(at, center[at], slope[at], spread)
-    k = curve(np.concatenate([grid.ravel(), x.ravel()]),
-              np.concatenate([np.repeat(reps, _GRID.size), np.repeat(idx[at], 2)]))
-    # Each crossing's bracket on its shape's grid, found by bisecting the
-    # grid's columns (one row per shape, with the curve's ends), and the
-    # three points nearest h.
-    xs = np.column_stack([np.zeros(reps.size), grid, hi[reps]])
-    ks = np.column_stack([ends[0][reps], k[:grid.size].reshape(grid.shape), ends[1][reps]])
-    j, stop = np.zeros(idx.size, np.int64), np.full(idx.size, _GRID.size + 1)
-    while (wide := stop - j > 1).any():
-        mid = (j + stop) // 2
-        left = ks[row, mid] <= h
-        j, stop = np.where(wide & left, mid, j), np.where(wide & ~left, mid, stop)
-    pl, kl, pr, kr = xs[row, j], ks[row, j], xs[row, j + 1], ks[row, j + 1]
-    a[idx] = np.where(kl <= h - _MARGIN * eps, pl.view(np.int64), a[idx])
-    b[idx] = np.where(kr >= h + _MARGIN * eps, pr.view(np.int64), b[idx])
-    near = row[:, None], np.clip(j[:, None] + np.arange(-1, 2), 0, _GRID.size + 1)
-    xs, ks = xs[near], ks[near]
-    miss = np.full(idx.size, np.inf)  # how far the last aim missed, in bits
-    done = np.zeros(idx.size, bool)
-    k = k[grid.size:].reshape(-1, 2)
-    for call in range(_SEED_CALLS):
-        # Take in the values k at the points x, aimed at h -+ spread.
-        hn = h[at, None]
-        sure = k <= hn - _MARGIN * eps[at, None], k >= hn + _MARGIN * eps[at, None]
-        a[idx[at]] = np.maximum(a[idx[at]], np.where(sure[0], x, 0.0).view(np.int64).max(axis=1))
-        b[idx[at]] = np.minimum(b[idx[at]], np.where(sure[1], x, np.inf).view(np.int64).min(axis=1))
-        miss[at] = np.abs(k - hn - spread[:, None] * [-1.0, 1.0]).max(axis=1)
-        done[at] = sure[0][:, 0] & sure[1][:, 1] & (spread <= 2 * _REACH * eps[at])
+    aimed = np.isfinite(center) & (slope > 0) & np.isfinite(slope)
+    spread = _REACH * eps
+    x = np.full((idx.size, 2), np.nan)
+    reach = spread[aimed] / slope[aimed]
+    x[aimed] = _between(center[aimed, None] + reach[:, None] * [-1.0, 1.0],
+                        lo[idx[aimed], None], hi[idx[aimed], None])
+    k = curve(np.concatenate([grid.ravel(), x[aimed].ravel()]),
+              np.concatenate([np.repeat(reps, _GRID.size), np.repeat(idx[aimed], 2)]))
+    guessed = k[grid.size:].reshape(-1, 2)
+    # Each shape's row of the curve holds its ends and the grid; each element
+    # bisects its row for its certificates and its crossing.
+    xg = np.column_stack([np.zeros(reps.size), grid, hi[reps]])
+    kg = np.column_stack([ends[0][reps], k[:grid.size].reshape(grid.shape), ends[1][reps]])
+    bars = np.stack([h - _MARGIN * eps, np.nextafter(h + _MARGIN * eps, -np.inf), h])
+    ja, jb, j = _last_columns(kg, row, bars)
+    a[:], ka[:], b[:], kb[:] = xg[row, ja], kg[row, ja], xg[row, jb + 1], kg[row, jb + 1]
+    f[:], kf[:] = (xg[row, jb], kg[row, jb]) if upper else (xg[row, ja + 1], kg[row, ja + 1])
+    pl[:], kl[:], pr[:], kr[:] = xg[row, j], kg[row, j], xg[row, j + 1], kg[row, j + 1]
+    near = np.clip(j + np.arange(-1, 2)[:, None], 0, _GRID.size + 1)
+    xs[:], ks[:] = xg[row, near], kg[row, near]
+    miss[:] = np.inf
+    k = np.full(x.shape, np.nan)
+    k[aimed] = guessed
+    width = np.full(idx.size, np.iinfo(np.int64).max)  # nothing to compare the grid with
+    side = 1 if upper else 0  # the column of x aimed at the returned end
+    for _ in range(_MAX_CALLS):
+        # Take in the values k at the points x.
+        sure_a, sure_b = h - _MARGIN * eps, h + _MARGIN * eps
         for xj, kj in zip(x.T, k.T):
-            left = kj <= h[at]
-            up, down = left & (xj > pl[at]), ~left & (xj < pr[at])
-            pl[at[up]], kl[at[up]] = xj[up], kj[up]
-            pr[at[down]], kr[at[down]] = xj[down], kj[down]
-        both_x, both_k = np.concatenate([xs[at], x], axis=1), np.concatenate([ks[at], k], axis=1)
-        nearest = np.argsort(np.abs(both_k - hn), axis=1, kind="stable")[:, :3]
-        xs[at], ks[at] = np.take_along_axis(both_x, nearest, axis=1), np.take_along_axis(both_k, nearest, axis=1)
-        at = np.flatnonzero(~done & (b[idx] - a[idx] > 2))
-        if call + 1 == _SEED_CALLS or not at.size:
-            break
-        # Aim again: at the bracket's chord, or at the quadratic through the
-        # three points nearest h where it falls inside the bracket.
-        slope = (kr[at] - kl[at]) / (pr[at] - pl[at])
-        center = pl[at] + (h[at] - kl[at]) / slope
-        quad = _inverse_quadratic(xs[at], ks[at] - h[at, None])
-        fits = (quad > pl[at]) & (quad < pr[at])
-        miss[at] = np.where(fits, np.minimum(miss[at], np.abs(quad - center) * slope), miss[at])
-        center = np.where(fits, quad, center)
-        usable = np.isfinite(center) & (slope > 0) & np.isfinite(slope)
-        at, center, slope = at[usable], center[usable], slope[usable]
-        if not at.size:
-            break
-        room = np.minimum(h[at] - kl[at], kr[at] - h[at]) / 2
-        spread = np.maximum(_REACH * eps[at], np.minimum(2 * miss[at], room))
-        x = aim(at, center, slope, spread)
-        k = curve(x.ravel(), np.repeat(idx[at], 2)).reshape(-1, 2)
-    # Certificates that cross each other would mean (*) failed: drop them.
-    crossed = idx[a[idx] >= b[idx]]
-    a[crossed], b[crossed] = lo[crossed].view(np.int64), hi[crossed].view(np.int64)
-    return a, b
-
-
-def _bisect(top, floor, ceiling, hs, curve, below, shape, ends, guess):
-    """Bisect ``[0, top]`` per element until ``lo`` and ``hi`` are adjacent doubles.
-
-    At most 62 steps, as ``[0, 1]`` holds fewer than ``2**62`` doubles.
-    ``top`` is a float or one upper end per element.  Elements flagged
-    ``floor`` stay at 0, the rest flagged ``ceiling`` at ``top``; a
-    midpoint is left of the answer where ``below(curve(mid, idx), hs[idx])``.
-    The other arguments go to :func:`_certify`, whose certificates settle
-    every midpoint outside ``(a, b)`` without a kernel call.  Once they
-    settle none, each open element waits on its next midpoint, and one
-    kernel call takes all of them: one bisection level per call.
-    """
-    lo = np.where(ceiling & ~floor, top, 0.0)
-    hi = np.where(floor, 0.0, top)
-    a, b = _certify(lo, hi, hs, curve, shape, ends, guess)
-    idx = np.flatnonzero(_open(lo, hi))
-    while idx.size:
-        # Every step the certificates settle, for all open elements at once.
-        # A closed bracket's midpoint is its low end, which stays put.
-        left, right = lo[idx].view(np.int64), hi[idx].view(np.int64)
-        sure_left, sure_right = a[idx], b[idx]
-        while True:
-            mid = (left + right) >> 1  # the sum of two views stays below 2**63
-            go, stop = (mid <= sure_left) & (mid > left), mid >= sure_right
-            if not (go | stop).any():
-                break
-            left, right = np.where(go, mid, left), np.where(stop, mid, right)
-        lo[idx], hi[idx] = left.view(float), right.view(float)
-        idx = idx[right - left > 1]
-        if not idx.size:
-            break
-        # every open element now waits on the kernel at its next midpoint
-        mid = ((lo[idx].view(np.int64) + hi[idx].view(np.int64)) >> 1).view(float)
-        go = below(curve(mid, idx), hs[idx])
-        lo[idx[go]], hi[idx[~go]] = mid[go], mid[~go]
-        idx = idx[_open(lo[idx], hi[idx])]
-    return lo, hi
+            below, above, left = kj <= sure_a, kj >= sure_b, kj <= h
+            for point, value, take in (
+                (a, ka, below & (xj > a)),
+                (b, kb, above & (xj < b)),
+                (f, kf, ~above & (xj > f) if upper else ~below & (xj < f)),
+                (pl, kl, left & (xj > pl)),
+                (pr, kr, ~left & (xj < pr)),
+            ):
+                np.copyto(point, xj, where=take)
+                np.copyto(value, kj, where=take)
+        if (a >= b).any():
+            raise NumericFailureError("crossed certificates: a kernel is off by more than its error bound")
+        miss[:] = np.where(aimed, np.abs(k - h[:, None] - spread[:, None] * [-1.0, 1.0]).max(axis=1),
+                           np.inf)
+        both_x, both_k = np.concatenate([xs, x.T]), np.concatenate([ks, k.T])
+        nearest = np.argsort(np.abs(both_k - h), axis=0, kind="stable")[:3]
+        xs[:], ks[:] = np.take_along_axis(both_x, nearest, 0), np.take_along_axis(both_k, nearest, 0)
+        # Done: the returned end is within _TIGHT*eps of h, or no double lies
+        # between it and f, or a and b are at most 4 ulps apart.
+        end, off = (b, kb - h) if upper else (a, h - ka)
+        gap = _gap(end, f)
+        stalled = 2 * gap > width
+        done = (off <= _TIGHT * eps) | (gap <= 1) | (_gap(a, b) <= 4)
+        if done.any():
+            out[idx[done]] = end[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            idx, state, gap, stalled = idx[keep], state[:, keep], gap[keep], stalled[keep]
+            a, ka, b, kb, f, kf, pl, kl, pr, kr, h, eps, miss = state[:13]
+            xs, ks = state[13:16], state[16:19]
+            end = b if upper else a
+        with np.errstate(all="ignore"):  # an unusable aim is replaced below
+            # Aim again: at the bracket's chord, or at the quadratic through
+            # the three points nearest h where it falls inside the bracket.
+            slope = (kr - kl) / (pr - pl)
+            center = pl + (h - kl) / slope
+            quad = _inverse_quadratic(xs, ks - h)
+            fits = (quad > pl) & (quad < pr)
+            np.copyto(miss, np.minimum(miss, np.abs(quad - center) * slope), where=fits)
+            center = np.where(fits, quad, center)
+            aimed = np.isfinite(center) & (slope > 0) & np.isfinite(slope) & ~stalled
+            room = np.minimum(h - kl, kr - h) / 2
+            spread = np.maximum(_REACH * eps, np.minimum(2 * miss, room))
+            x = _between(center[:, None] + (spread / slope)[:, None] * [-1.0, 1.0],
+                         a[:, None], b[:, None])
+            x[:, side] = _between(x[:, side], end, f)
+            # Elsewhere, two midpoints of the search bracket: in doubles,
+            # which halves it, and in distance to the ceiling, where both
+            # curves flatten (geometric).
+            step = ~aimed
+            if step.any():
+                e, fs, top = end[step], f[step], hi[idx[step]]
+                x[step, 1 - side] = ((e.view(np.int64) + fs.view(np.int64)) >> 1).view(float)
+                x[step, side] = _between(top - np.sqrt((top - e) * (top - fs)), e, fs)
+        width = gap
+        k = curve(x.ravel(), np.repeat(idx, 2)).reshape(-1, 2)
+    raise NumericFailureError("the tight bounds did not converge")
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -318,7 +374,7 @@ def _arc_crossing(n: np.ndarray, m: np.ndarray, hs: np.ndarray) -> tuple[np.ndar
     taken by Newton, first on ``x*(1 - ln x) = M*ln2*(h - log2 M)``, the
     large-``M`` form, then on the exact one.  Only a guess for
     :func:`_certify`: where the endpoint is not the minimum, or the
-    iteration falls short, the seed's later calls find the crossing.
+    iteration falls short, its later calls find the crossing.
     """
     with np.errstate(all="ignore"):
         big = np.floor(2.0**hs)
@@ -339,36 +395,39 @@ def _arc_crossing(n: np.ndarray, m: np.ndarray, hs: np.ndarray) -> tuple[np.ndar
         return np.where(valid, (big - m + x) / (big + x), np.nan), (big / m) * -np.log2(x)
 
 
+def _ends(top, floor, ceiling) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's ``(lo, hi)``: ``[0, top]``, pinned to 0 where ``floor``, else to ``top`` where ``ceiling``."""
+    return np.where(ceiling & ~floor, top, 0.0), np.where(floor, 0.0, top)
+
+
 def _invert_lower(n: np.ndarray, m: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Least tail mass whose maximum entropy reaches ``hs``, per element.
+    """A lower bound on the least tail mass whose maximum entropy reaches ``hs``, per element.
 
     ``n``, ``m`` and ``hs`` are 1-D arrays of one length, one shape per
     entropy; the entropies are already clamped into ``[0, log2 n]``.
-    Returns the low end of the final bracket, a double whose ``H_max`` is
-    below ``h`` next to one whose ``H_max`` reaches it: a lower bound.
+    Returns the certificate ``a`` of :func:`_certify`, whose exact
+    ``H_max`` is below ``h``: 0 up to ``h = log2 m``, ``(n-m)/n`` from
+    ``h = log2 n``.
     """
     log_m, log_n = _log2(m), _log2(n)
-    lo, _ = _bisect(
-        (n - m) / n, hs <= log_m, hs >= log_n, hs,
-        lambda pi, idx: max_entropy_values(n[idx], m[idx], pi), np.less,
-        _shape_keys(n, m), (log_m, log_n), np.full((2, hs.size), np.nan),
+    return _certify(
+        *_ends((n - m) / n, hs <= log_m, hs >= log_n), hs,
+        lambda pi, idx: max_entropy_values(n[idx], m[idx], pi),
+        _shape_keys(n, m), (log_m, log_n), np.full((2, hs.size), np.nan), upper=False,
     )
-    return lo
 
 
 def _invert_upper(n: np.ndarray, m: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Greatest tail mass whose minimum entropy stays at or below ``hs``, per element.
+    """An upper bound on the greatest tail mass whose minimum entropy stays at or below ``hs``, per element.
 
-    Same arguments as :func:`_invert_lower`.  Returns the high end of the
-    final bracket, a double whose ``H_min`` exceeds ``h`` next to one whose
-    ``H_min`` does not: an upper bound.  Any positive tail forces positive
-    entropy, and only the uniform distribution, at the ceiling, reaches
-    ``log2 n``.
+    Same arguments as :func:`_invert_lower`.  Returns the certificate
+    ``b`` of :func:`_certify`, whose exact ``H_min`` exceeds ``h``.  Any
+    positive tail forces positive entropy, and only the uniform
+    distribution, at the ceiling, reaches ``log2 n``.
     """
     log_n = _log2(n)
-    _, hi = _bisect(
-        (n - m) / n, hs == 0.0, hs >= log_n, hs,
-        lambda pi, idx: min_entropy_values(n[idx], m[idx], pi), np.less_equal,
-        _shape_keys(n, m), (np.zeros(hs.size), log_n), _arc_crossing(n, m, hs),
+    return _certify(
+        *_ends((n - m) / n, hs == 0.0, hs >= log_n), hs,
+        lambda pi, idx: min_entropy_values(n[idx], m[idx], pi),
+        _shape_keys(n, m), (np.zeros(hs.size), log_n), _arc_crossing(n, m, hs), upper=True,
     )
-    return hi

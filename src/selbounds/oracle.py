@@ -6,7 +6,7 @@ whose observed tail mass escapes the analytic interval.  Violations are
 data, never aborts.  It works on arrays: each shape's scenarios are drawn
 into row blocks (each scenario from its own seeded stream) and reduced to
 entropies and tail masses row by row; the analytic bounds take one call
-per shape, and each tight bound one bisection over every record of every
+per shape, and each tight bound one search over every record of every
 shape.  The exact scan of the min-entropy polytope's vertices, in
 integers, and the exhaustive transform enumeration check the closed-form
 machinery without sharing its code.
@@ -241,7 +241,7 @@ def run_sweep(
     """Execute the sweep; returns (records sorted by shape/scenario, summary).
 
     A failed scenario, a failed analytic call (which fails its shape) and a
-    failed tight bisection (which fails every record) give NaN records
+    failed tight search (which fails every record) give NaN records
     flagged as violations; the sweep itself always completes.
     """
     shapes, count = config.shapes, config.scenarios_per_shape
@@ -257,7 +257,7 @@ def run_sweep(
         except Exception:
             h[span] = pi_obs[span] = np.nan
     ok = ~np.isnan(h)
-    try:  # one bisection per bound over every shape: a failure fails every record
+    try:  # one search per bound over every shape: a failure fails every record
         bounds[2:, ok] = (
             _invert_lower(ns[ok], ms[ok], hs[ok]),
             _invert_upper(ns[ok], ms[ok], hs[ok]),

@@ -19,8 +19,8 @@ from mpmath import mp, mpf, log
 
 import selbounds.oracle as oracle
 from selbounds.bounds import TightInverter
-from selbounds.core import entropy, entropy_terms, tail_probability
-from selbounds.curves import _candidate_entropies
+from selbounds.core import complement_entropy_terms, entropy, entropy_terms, tail_probability
+from selbounds.curves import _candidate_entropies, max_entropy_values
 
 mp.dps = 50
 
@@ -131,7 +131,8 @@ def scan_min_entropy_values(n, m, pis) -> np.ndarray:
     The earlier library kernel, kept as the reference for the few-junction
     one: the right endpoint through the library's candidate kernel, then,
     for ``m >= 2``, each junction ``pi/s`` valid under ``pi/s <= (1-pi)/m``
-    with the same float expression, in chunks of at most ``2**22`` cells.
+    with the same float expression (the head's term through the library's
+    ``log1p`` form), in chunks of at most ``2**22`` cells.
     """
     pis = np.clip(np.asarray(pis, dtype=float), 0.0, (n - m) / n)
     out = np.zeros(pis.shape)
@@ -141,7 +142,10 @@ def scan_min_entropy_values(n, m, pis) -> np.ndarray:
     if not active.any():
         return out
     pa = pis[active]
-    best = _candidate_entropies(m, pa, (1.0 - pa) / m)
+    best = _candidate_entropies(n, m, pa, (1.0 - pa) / m)
+    # capped at H_max at the double ceiling, where the two curves meet
+    at = pa >= (n - m) / n
+    best[at] = np.minimum(best[at], max_entropy_values(n, m, pa[at]))
     if m == 1:  # the staircase majorizes every junction
         out[active] = np.maximum(best, 0.0)
         return out
@@ -151,8 +155,8 @@ def scan_min_entropy_values(n, m, pis) -> np.ndarray:
     for start in range(0, pa.size, block):
         chunk = pa[start : start + block, None]
         ph_j = chunk / slots[None, :]
-        head_rest = (1.0 - chunk) - (m - 1) * ph_j
-        vals = (n - js)[None, :] * entropy_terms(ph_j) + entropy_terms(head_rest)
+        moved = chunk + (m - 1) * ph_j  # mass outside the head's balancing entry
+        vals = (n - js)[None, :] * entropy_terms(ph_j) + complement_entropy_terms(moved)
         hi = (1.0 - chunk) / m
         vals = np.where(ph_j <= hi, vals, np.inf)
         best[start : start + block] = np.minimum(
@@ -171,7 +175,7 @@ def near_min_slots(n, m, pi) -> np.ndarray:
     """
     pi = float(pi)
     s = np.arange(1, n - m + 1, dtype=float)
-    s = s[pi / s <= (1.0 - pi) / m]
+    s = s[(pi / s > 0.0) & (pi / s <= (1.0 - pi) / m)]  # an underflowed pi/s holds no mass
     if not s.size:
         return s.astype(int)
     p = pi / s

@@ -217,62 +217,6 @@ class TestTightUpperInversion:
         assert got.tolist() == want.tolist()
 
 
-def one_level_bisect(top, floor, ceiling, below):
-    """``_bisect`` with one ``below`` call per bisection level, as it was."""
-    lo = np.where(ceiling & ~floor, top, 0.0)
-    hi = np.where(floor, 0.0, top)
-    while (idx := np.flatnonzero(hi.view(np.int64) - lo.view(np.int64) > 1)).size:
-        a, b = lo[idx].view(np.int64), hi[idx].view(np.int64)
-        mid = (a + (b - a) // 2).view(float)
-        left = below(mid, idx)
-        lo[idx[left]] = mid[left]
-        hi[idx[~left]] = mid[~left]
-    return lo, hi
-
-
-def uncertified_bisect(top, floor, ceiling, hs, curve, below, *certify_args):
-    """``_bisect`` as :func:`one_level_bisect`: every midpoint through the kernel."""
-    return one_level_bisect(top, floor, ceiling, lambda mid, idx: below(curve(mid, idx), hs[idx]))
-
-
-class TestBatchedBisection:
-    """The certified walk, on batches of every size, splits where a kernel call at every midpoint does."""
-
-    SHAPES = [(2, 1), (7, 7), (7, 1), (60, 10), (34_220, 120), (10**6, 1), (10**6, 999_999)]
-
-    @staticmethod
-    def _batches(n, m, rng, size):
-        """The edge entropies and random ones, shuffled, in batches of ``size``."""
-        top = math.log2(n)
-        edges = [0.0, math.log2(m) - 1e-12, math.log2(m), math.log2(m) + 1e-12, top]
-        hs = np.concatenate([edges, rng.uniform(0.0, top, max(7, size - len(edges)))])
-        hs = np.clip(rng.permutation(hs), 0.0, top)
-        return [hs[start:start + size] for start in range(0, hs.size, size)]
-
-    @pytest.mark.parametrize("bound", ["lower", "upper"])
-    @pytest.mark.parametrize("size", [1, 2, 7, 800, 5_000])
-    def test_equals_one_level_per_call(self, monkeypatch, rng, bound, size):
-        invert = getattr(inversion, f"_invert_{bound}")
-        for n, m in self.SHAPES:
-            for hs in self._batches(n, m, rng, size):
-                ns, ms = np.full(hs.size, n), np.full(hs.size, m)
-                got = invert(ns, ms, hs)
-                with monkeypatch.context() as patch:
-                    patch.setattr(inversion, "_bisect", uncertified_bisect)
-                    want = invert(ns, ms, hs)
-                assert got.tobytes() == want.tobytes(), (n, m, hs)
-
-    @pytest.mark.parametrize("bound", ["lower", "upper"])
-    def test_mixed_shapes_equal_one_level_per_call(self, monkeypatch, rng, bound):
-        rows = [(n, m, h) for n, m in self.SHAPES for h in self._batches(n, m, rng, 6)[0]]
-        ns, ms, hs = (np.array(c) for c in zip(*rng.permutation(np.array(rows, dtype=object))))
-        ns, ms, hs = ns.astype(int), ms.astype(int), hs.astype(float)
-        invert = getattr(inversion, f"_invert_{bound}")
-        got = invert(ns, ms, hs)
-        monkeypatch.setattr(inversion, "_bisect", uncertified_bisect)
-        assert got.tobytes() == invert(ns, ms, hs).tobytes()
-
-
 def paper_figs_inputs(seed):
     """The ``(n, m, h)`` arrays ``sweep --paper-figs --seed seed`` inverts."""
     config = reference_sweep_config(seed)
@@ -284,33 +228,7 @@ def paper_figs_inputs(seed):
 
 
 class TestCertifiedWalk:
-    """The certified walk returns the one-level bisection's doubles on the inputs that matter."""
-
-    @staticmethod
-    def _assert_equal(monkeypatch, bound, ns, ms, hs):
-        invert = getattr(inversion, f"_invert_{bound}")
-        got = invert(ns, ms, hs)
-        with monkeypatch.context() as patch:
-            patch.setattr(inversion, "_bisect", uncertified_bisect)
-            want = invert(ns, ms, hs)
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("seed", [1, 2, 42])
-    @pytest.mark.parametrize("bound", ["lower", "upper"])
-    def test_paper_figs_inputs(self, monkeypatch, seed, bound):
-        self._assert_equal(monkeypatch, bound, *paper_figs_inputs(seed))
-
-    @pytest.mark.parametrize("bound", ["lower", "upper"])
-    def test_edge_entropies(self, monkeypatch, rng, bound):
-        rows = []
-        for n in (2, 3, 50, 3000, 34_220):
-            for m in {1, n - 1}:
-                top = math.log2(n)
-                near_top = [top - k * 1e-16 for k in range(11)] + [float(np.nextafter(top, 0.0))]
-                tiny = [1e-300, 5e-324, *(10 ** rng.uniform(-300, -1, 8))]
-                rows += [(n, m, h) for h in near_top + tiny]
-        ns, ms, hs = (np.array(c) for c in zip(*rows))
-        self._assert_equal(monkeypatch, bound, ns, ms, np.clip(hs, 0.0, np.log2(ns)))
+    """The tight bounds take their certificates from few kernel calls."""
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -324,10 +242,13 @@ class TestCertifiedWalk:
         return calls
 
     def test_sweep_takes_few_kernel_calls(self, monkeypatch):
-        # a kernel call at every midpoint took 62 for the paper figures' sweep, on either curve
+        # a kernel call at every midpoint took 62 for the paper figures' sweep,
+        # on either curve, and the certified walk 19-20 and 29
         calls = self._count_calls(monkeypatch)
-        run_sweep(reference_sweep_config(1))
-        assert calls["H_min"] <= 20 and calls["H_max"] <= 32
+        for seed in (1, 2, 42):
+            calls.update(H_min=0, H_max=0)
+            run_sweep(reference_sweep_config(seed))
+            assert calls["H_min"] <= 8 and calls["H_max"] <= 8, (seed, calls)
 
     @pytest.mark.parametrize("n, m", [(34_220, 120), (11_480, 120), (20, 6), (1500, 1000)])
     @pytest.mark.parametrize("s", [0.5, 1.0])
@@ -337,36 +258,45 @@ class TestCertifiedWalk:
         h = sb.entropy(sb.make_distribution(np.arange(1, n + 1) ** -s))
         calls = self._count_calls(monkeypatch)
         sb.pi_bounds_tight(n, m, h)
-        assert calls["H_min"] <= 16 and calls["H_max"] <= 24
+        assert calls["H_min"] <= 8 and calls["H_max"] <= 8
 
     @pytest.mark.parametrize("n, m", [(34_220, 120), (20, 6)])
     @pytest.mark.parametrize("h", [1e-6, 1e-3, 0.01, 0.1, 0.29])
     def test_single_inversion_at_small_entropy_takes_few_kernel_calls(self, monkeypatch, n, m, h):
-        # the seed leaves wider brackets below 0.3 bits: 35-36 H_min calls at 1e-6 bits
+        # the certified walk took 35-36 H_min calls at 1e-6 bits; the
+        # relative kernel error bound keeps the certificates tight here too
         calls = self._count_calls(monkeypatch)
         sb.pi_bounds_tight(n, m, h)
-        assert calls["H_min"] <= 40
+        assert calls["H_min"] <= 8
 
 
 class TestKernelErrorBound:
-    """Both kernels lie within ``eps/2`` of their 50-digit curves: the premise of the certified walk."""
+    """Both kernels lie within ``eps/2`` of their 50-digit curves: the premise of the certificates."""
 
     @staticmethod
     def _points(rng):
-        """``(n, m, pi)``: random shapes up to n = 2000 and the paper's, at every kind of tail mass."""
-        shapes = [*REFERENCE_SWEEP_SHAPES, (2, 1), (2000, 1), (2000, 1999)]
+        """``(n, m, pi)``: random shapes up to n = 2000 and the paper's, at every kind of tail mass.
+
+        The kinds include ``pi`` at 1e-300 of the ceiling and next to the
+        corners ``c/(m+c)`` of the right endpoint's arc, where its remainder
+        vanishes and the kernel's error is largest.
+        """
+        shapes = [*REFERENCE_SWEEP_SHAPES, (2, 1), (2000, 1), (2000, 1999), (4, 2), (7, 2)]
         for _ in range(40):
             n = int(rng.integers(2, 2001))
             shapes.append((n, int(rng.integers(1, n))))
         for n, m in shapes:
-            # the walk evaluates only doubles below the rounded ceiling
+            # the search evaluates only doubles below the rounded ceiling
             top = float(np.nextafter((n - m) / n, 0.0))
+            corner = float(np.nextafter(c := int(rng.integers(1, n - m + 1)), 0.0)) / (m + c)
             pis = [
                 top * rng.uniform(),
                 top * 10 ** rng.uniform(-300, 0),
+                top * 1e-300,
                 top * 10 ** rng.uniform(-16, 0),
                 top * (1 - 10 ** rng.uniform(-16, -1)),
                 top,
+                *(float(corner + k * np.spacing(corner)) for k in (-1, 1, 2)),
             ]
             yield from ((n, m, min(pi, top)) for pi in pis)
 
@@ -386,6 +316,25 @@ class TestKernelErrorBound:
         bad = [p for p in self._points(rng)
                if not self._within_half_eps(max_entropy_values, mp_h_max, *p)]
         assert not bad
+
+
+class TestCrossedCertificates:
+    """A kernel off by more than its error bound fails loudly, not with an uncertified bound."""
+
+    @staticmethod
+    def _noisy(monkeypatch):
+        # one bit of noise, up or down with the last bit of pi: far past eps/2
+        for name in ("min_entropy_values", "max_entropy_values"):
+            def noisy(n, m, pi, kernel=getattr(inversion, name)):
+                pi = np.asarray(pi, dtype=float)
+                return kernel(n, m, pi) + np.where(pi.view(np.int64) & 1, 1.0, -1.0)
+            monkeypatch.setattr(inversion, name, noisy)
+
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_raise(self, monkeypatch, bound):
+        self._noisy(monkeypatch)
+        with pytest.raises(sb.NumericFailureError, match="crossed certificates"):
+            getattr(sb.TightInverter(200, 40), bound)(np.linspace(1.0, 7.0, 50))
 
 
 class TestMeritBounds:
@@ -551,6 +500,28 @@ class TestAnalyticReference:
             want = [reference_analytic(n, m, h)[:4] for h in hs.tolist()]
             assert repr(list(zip(*got))) == repr(want), (n, m)
 
+    @staticmethod
+    def _row_loop(n, m, hs):
+        """``ub_raw`` as the helper took it before: every junction's entry, one row per entropy."""
+        slots = np.arange(n - m, 0, -1, dtype=float)
+        den = (n - np.arange(1, n - m + 1)) * np.log2(n * slots / (n - m))
+        junction = np.array([((h * slots) / den).max() for h in hs.tolist()])
+        if m == 1:
+            return junction
+        entry = 1.0 - hs / math.log2(m)
+        return np.where(entry > junction, entry, junction)
+
+    def test_equals_the_row_of_every_junction(self, rng):
+        # only the junctions whose ratio is within 2**-48 of the best are evaluated
+        cases = [(n, m, np.clip(hs, 0.0, math.log2(n))) for n, m, hs in self._cases(rng, 60, 40)]
+        for n, m in ((34_220, 120), (11_480, 120), (31_600, 7), (2, 1)):
+            hs = [0.0, -0.0, 5e-324, 1e-300, 1e-12, math.log2(n), *rng.uniform(0, math.log2(n), 30)]
+            cases.append((n, m, np.array(hs)))
+        for n, m, hs in cases:
+            if m < n:
+                got = _analytic_bounds(n, m, hs)[3]
+                assert got.tobytes() == self._row_loop(n, m, hs).tobytes(), (n, m)
+
     def test_memory_does_not_grow_with_entropies(self):
         n, m = 50_010, 10  # a (1000 x 50,000) matrix would take 400 MB
         hs = np.linspace(0.0, math.log2(n), 1000)
@@ -563,39 +534,43 @@ class TestAnalyticReference:
         assert peak < 8 * 2**20
 
 
-def rounding_allowance(n, m, h, x, curve) -> float:
-    """How far the float kernels' rounding can move a tight bound from the true inverse ``x``.
+def assert_tight(ns, ms, hs, lb, ub):
+    """Each tight bound is as tight as the kernels' error bound allows.
 
-    Each kernel sums a few terms of one sign, so it is within a few ulps of
-    the curve, except that it takes the head entry's ``-y*log2(y)`` at
-    ``y = 1 - d`` rounded to a double, which drops up to ``min(d, 2**-52)``
-    of ``d <= m*x`` and so about ``log2(e)`` times that in bits (no
-    ``log1p`` form).  Those bits map to tail mass through the curve's
-    50-digit slope at ``x``; two ulps of ``x`` cover the final bracket.
+    ``K(lb) >= h - 3*eps`` and ``K(ub) <= h + 3*eps`` (``eps`` of the
+    ``inversion`` docstring), unless the bound is 0 or the ceiling, or the
+    next double towards the crossing does not certify its side (no tighter
+    double does), or one within 4 ulps certifies the other side.
     """
-    bits = 2 * math.log2(math.e) * min(m * float(x), 2**-52) + 4 * 2**-53 * h
-    if curve == "max":
-        slope = mp_log2((1 - x) * (n - m) / (m * x))
-    else:
-        step = mpf(10) ** -20
-        slope = (mp_h_min(n, m, x * (1 + step)) - mp_h_min(n, m, x)) / (x * step)
-    return float(bits / slope) + 2 * math.ulp(float(x))
+    ns, ms, hs, lb, ub = np.broadcast_arrays(ns, ms, hs, lb, ub)
+    eps = inversion._kernel_error(hs)
+    top = (ns - ms) / ns
+    for bound, kernel, sign in ((lb, max_entropy_values, 1), (ub, sb.min_entropy_values, -1)):
+        steps = bound.view(np.int64)[None, :] + sign * np.array([0, 1, 4])[:, None]
+        at = np.clip(steps, 0, top.view(np.int64)).view(float)
+        k = np.stack([kernel(ns, ms, x) for x in at]) - hs  # kernel minus h, signed outward
+        k = -k if sign == 1 else k
+        ok = ((k[0] <= 3 * eps) | (bound == 0.0) | (bound == top)
+              | (k[1] < 0.75 * eps) | (k[2] <= -0.75 * eps))
+        assert ok.all(), list(zip(ns[~ok], ms[~ok], hs[~ok], bound[~ok]))
 
 
 class TestTightBoundsEncloseTheTrueInverse:
-    """Both tight bounds against 50-digit bisections of the 50-digit curves."""
+    """Both tight bounds against 50-digit bisections of the 50-digit curves, with no allowance."""
 
     @staticmethod
     def _check(n, m, h):
         inverter = sb.TightInverter(n, m)
-        for got, curve, invert in ((inverter.lower(h), "max", mp_invert_lower),
-                                   (inverter.upper(h), "min", mp_invert_upper)):
-            truth = invert(n, m, h)
-            if truth == 0 or truth == mpf(n - m) / n:  # flat at 0 or at the ceiling
-                assert got == float(truth), (n, m, h, curve)
-                continue
-            slack = rounding_allowance(n, m, h, truth, curve)
-            assert abs(got - truth) <= slack, (n, m, h, curve, got, float(truth), slack)
+        lb, ub = inverter.lower(h), inverter.upper(h)
+        if h >= math.log2(n):  # entropies are clamped to this double: the maximum
+            assert lb == ub == (n - m) / n
+            return
+        lower, upper = mp_invert_lower(n, m, h), mp_invert_upper(n, m, h)
+        top = mpf(n - m) / n
+        # flat at 0 or at the ceiling, the answer is that end as a double
+        assert lb == float(lower) if lower in (0, top) else lb <= lower, (n, m, h, lb, lower)
+        assert ub == float(upper) if upper in (0, top) else upper <= ub, (n, m, h, ub, upper)
+        assert_tight(n, m, h, np.array([lb]), np.array([ub]))
 
     def test_log_uniform_tail_masses(self):
         rng = np.random.default_rng(20)
@@ -609,14 +584,44 @@ class TestTightBoundsEncloseTheTrueInverse:
             for h in (float(mp_h_min(n, m, pi)), float(mp_h_max(n, m, pi))):
                 self._check(n, m, min(h, math.log2(n)))
 
+    @pytest.mark.parametrize("n", [2, 3, 50, 3000])
+    def test_single_selection_down_to_tiny_entropies(self, n):
+        # the head entry's term once dropped pi/ln 2 below pi ~ 1e-16, which put
+        # the m = 1 lower bound 2.2% above the truth at (2, 1, 3.04e-19)
+        for h in [10.0 ** -e for e in range(1, 301, 23)] + [1e-300, 3.039486235708936e-19]:
+            self._check(n, 1, h)
+
+    def test_edge_entropies(self, rng):
+        for n in (2, 3, 50, 3000, 34_220):
+            for m in {1, n - 1}:
+                top = math.log2(n)
+                near_top = [top - k * 1e-16 for k in range(0, 11, 2)] + [float(np.nextafter(top, 0.0))]
+                tiny = [1e-300, 5e-324, *(10 ** rng.uniform(-300, -1, 3))]
+                for h in near_top + tiny:
+                    self._check(n, m, min(max(h, 0.0), top))
+
+    def test_random_queries(self):
+        # before the certificates, 5 lower and 3 upper bounds of these lay on
+        # the wrong side of the truth, by up to 2.5e-15 relative
+        rng = np.random.default_rng(150)
+        for _ in range(150):
+            n = int(rng.integers(2, 1001))
+            m = int(rng.integers(1, n))
+            self._check(n, m, float(rng.uniform(0.0, math.log2(n))))
+
+    def test_single_selection_reproducer(self):
+        lb, ub = sb.pi_bounds_tight(2, 1, 3.039486235708936e-19)
+        truth = mp_invert_lower(2, 1, 3.039486235708936e-19)
+        assert truth == pytest.approx(4.4009e-21, rel=1e-4)
+        assert lb <= truth <= ub
+
     def test_binary_shape_at_one_millibit(self):
         # both bounds once missed the 50-digit root 6.515314290334e-05 by
-        # about 2e-13; the two kernels now agree bit for bit at (2, 1), so
-        # the bounds are the doubles on either side of one crossing
+        # about 2e-13
         self._check(2, 1, 0.001)
         lb, ub = sb.pi_bounds_tight(2, 1, 0.001)
         assert lb == pytest.approx(6.515314290334e-05, rel=1e-12)
-        assert lb < ub <= np.nextafter(np.nextafter(lb, 1.0), 1.0)
+        assert ub == pytest.approx(6.515314290334e-05, rel=1e-12)
 
     @pytest.mark.parametrize("n, m, pi, bits", [(3000, 2, 1e-12, 4.78e-11),
                                                 (200, 10, 1e-14, 5.8e-13)])
@@ -641,6 +646,12 @@ class TestTightBoundsEncloseTheTrueInverse:
         assert report.pi_observed == pytest.approx(2.0e-12, rel=1e-9)
         assert report.pi_lb_tight <= report.pi_observed <= report.pi_ub_tight
         self._check(dist.n, 1, h)
+
+    @pytest.mark.parametrize("seed", [1, 2, 42])
+    def test_paper_figs_inputs_are_tight(self, seed):
+        ns, ms, hs = paper_figs_inputs(seed)
+        assert_tight(ns, ms, hs, inversion._invert_lower(ns, ms, hs),
+                     inversion._invert_upper(ns, ms, hs))
 
 
 class TestTightBoundGrid:

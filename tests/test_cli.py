@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import selbounds as sb
@@ -70,12 +71,12 @@ scenario_id,n,m,entropy_bits,pi_observed,pi_lb_analytic,pi_ub_analytic,pi_lb_tig
 1,30,20,4.57524422221,0.0908233068124,0,0.321521417833,0.0553381939323,0.271941539377,false
 0,50,15,5.01200562532,0.326973433286,0.0859912315173,0.649341485326,0.245834443821,0.533892139817,false
 1,50,15,5.08833536526,0.366426055931,0.148434141512,0.659230553778,0.273757799044,0.558862759574,false
-0,100,60,6.12469095944,0.104166946059,0,0.37246781676,0.0397270194188,0.332091760182,false
+0,100,60,6.12469095944,0.104166946059,0,0.37246781676,0.0397270194187,0.332091760182,false
 1,100,60,6.0723020148,0.0974557530602,0,0.369281828118,0.0274567336616,0.327366398747,false
 0,200,40,7.05507213682,0.481651595988,0.366572020967,0.74208876615,0.385615999433,0.698815923985,false
 1,200,40,7.05596800698,0.490597608155,0.367019956048,0.742182998381,0.38595141141,0.699274302623,false
 0,500,300,8.37579140126,0.0989023034709,0,0.374426878359,0.0235113585521,0.350031482178,false
-1,500,300,8.38280661129,0.0985759317596,0,0.374740482539,0.0249895871506,0.350487186187,false
+1,500,300,8.38280661129,0.0985759317596,0,0.374740482539,0.0249895871505,0.350487186187,false
 0,1000,400,9.30115233723,0.221477700731,0,0.560545715264,0.137255806014,0.52879731087,false
 1,1000,400,9.35768189875,0.235705318333,0,0.563952540822,0.155311519768,0.533628561733,false
 0,1500,1000,9.93491025661,0.0621859892332,0,0.314086391254,0,0.298899734185,false
@@ -101,7 +102,7 @@ SPIKY_SWEEP_JSON = """\
       "pi_lb_analytic": 0.0,
       "pi_ub_analytic": 0.36734781182179366,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.2706683332482488,
+      "pi_ub_tight": 0.27066833324825745,
       "violation": false
     },
     {
@@ -113,7 +114,7 @@ SPIKY_SWEEP_JSON = """\
       "pi_lb_analytic": 0.0,
       "pi_ub_analytic": 0.3850218094901334,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.25037569463484605,
+      "pi_ub_tight": 0.25037569463485404,
       "violation": false
     },
     {
@@ -125,7 +126,7 @@ SPIKY_SWEEP_JSON = """\
       "pi_lb_analytic": 0.0,
       "pi_ub_analytic": 0.46271685237082394,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.3587513751600186,
+      "pi_ub_tight": 0.3587513751600305,
       "violation": false
     },
     {
@@ -137,7 +138,7 @@ SPIKY_SWEEP_JSON = """\
       "pi_lb_analytic": 0.0,
       "pi_ub_analytic": 0.32524678607612556,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.18116134060060482,
+      "pi_ub_tight": 0.18116134060061062,
       "violation": false
     },
     {
@@ -149,7 +150,7 @@ SPIKY_SWEEP_JSON = """\
       "pi_lb_analytic": 0.0,
       "pi_ub_analytic": 0.27100308176968735,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.19893652666221873,
+      "pi_ub_tight": 0.19893652666222517,
       "violation": false
     },
     {
@@ -161,7 +162,7 @@ SPIKY_SWEEP_JSON = """\
       "pi_lb_analytic": 0.0,
       "pi_ub_analytic": 0.31704458101255073,
       "pi_lb_tight": 0.0,
-      "pi_ub_tight": 0.1838143373133306,
+      "pi_ub_tight": 0.18381433731333655,
       "violation": false
     }
   ],
@@ -185,13 +186,13 @@ SPIKY_SWEEP_JSON = """\
       "tight": {
         "m_lt_half": {
           "records": 3,
-          "mean": 0.29326513434770446,
-          "median": 0.2706683332482488
+          "mean": 0.29326513434771395,
+          "median": 0.27066833324825745
         },
         "m_ge_half": {
           "records": 3,
-          "mean": 0.18797073485871807,
-          "median": 0.1838143373133306
+          "mean": 0.1879707348587241,
+          "median": 0.18381433731333655
         }
       },
       "per_shape": [
@@ -201,8 +202,8 @@ SPIKY_SWEEP_JSON = """\
           "regime": "m_lt_half",
           "mean_gap_analytic": 0.40502882456091704,
           "median_gap_analytic": 0.3850218094901334,
-          "mean_gap_tight": 0.29326513434770446,
-          "median_gap_tight": 0.2706683332482488
+          "mean_gap_tight": 0.29326513434771395,
+          "median_gap_tight": 0.27066833324825745
         },
         {
           "n": 1500,
@@ -210,8 +211,8 @@ SPIKY_SWEEP_JSON = """\
           "regime": "m_ge_half",
           "mean_gap_analytic": 0.3044314829527879,
           "median_gap_analytic": 0.31704458101255073,
-          "mean_gap_tight": 0.18797073485871807,
-          "median_gap_tight": 0.1838143373133306
+          "mean_gap_tight": 0.1879707348587241,
+          "median_gap_tight": 0.18381433731333655
         }
       ]
     }
@@ -978,6 +979,19 @@ class TestInternalPrecisionLoss:
         monkeypatch.setattr(extrema, "_tail_split", defective)
         self._exits_2(capsys, "extrema", "--n", "15", "--m", "5", "--pi", "0.4",
                       "--which", "min")
+
+    def test_crossed_certificates(self, capsys, monkeypatch):
+        # a kernel off by a bit puts certificates of both sides on one point
+        import selbounds.inversion as inversion
+
+        exact = inversion.max_entropy_values
+
+        def noisy(n, m, pi):
+            pi = np.asarray(pi, dtype=float)
+            return exact(n, m, pi) + np.where(pi.view(np.int64) & 1, 1.0, -1.0)
+
+        monkeypatch.setattr(inversion, "max_entropy_values", noisy)
+        self._exits_2(capsys, "bounds", "--n", "200", "--m", "10", "--entropy", "6")
 
     @pytest.mark.parametrize("n, m, pi", [(6, 2, 0.3), (3, 3, 0)])
     def test_feasible_sample(self, n, m, pi):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from mpmath import mp, mpf
 from hypothesis import strategies as st
 
 import selbounds as sb
@@ -74,6 +75,15 @@ class TestEntropy:
         point = np.zeros(n)
         point[0] = 1.0
         assert sb.entropy(sb.make_distribution(point)) == 0.0
+
+    @pytest.mark.parametrize("tail", [2e-15, 1e-300, 3e-10])
+    def test_dominant_entry_takes_its_term_from_the_rest(self, tail):
+        # the stored 1 - 2e-15 is 1.6e-18 off, which moved the entropy of
+        # [1, 2e-15] (about 1e-13 bits) by 2.3e-5 relative
+        d = sb.make_distribution([1.0, tail])
+        rest = mpf(float(d.probs[1]))
+        want = -(1 - rest) * mp.log1p(-rest) / mp.log(2) - rest * mp.log(rest) / mp.log(2)
+        assert sb.entropy(d) == pytest.approx(float(want), rel=2**-50)
 
     def test_mass_transfer_strictly_lowers_entropy(self, rng):
         # moving delta from a smaller entry onto a larger one concentrates
@@ -247,10 +257,16 @@ class TestRowsMatchOneDimensionalPath:
             assert got.tobytes() == dist.probs.tobytes()
         want = np.array([sb.entropy(d) for d in dists])
         assert entropy_rows(probs[ok]).tobytes() == want.tobytes()
-        # the masked formula summed over the whole row, every positive entry counted
+        # the masked formula summed over the whole row, every positive entry
+        # counted; a first entry above 1/2 takes its term from the rest of the row
         live = [(d.probs, d.probs > 0.0) for d in dists]
-        ref = [max(0.0, float(np.where(k, -p * np.log2(np.where(k, p, 1.0)), 0.0).sum()))
-               for p, k in live]
+        ref = []
+        for p, k in live:
+            terms = np.where(k, -p * np.log2(np.where(k, p, 1.0)), 0.0)
+            if p[0] > 0.5:
+                rest = p[1:].sum()
+                terms[0] = -(1.0 - rest) * np.log1p(-rest) * (1.0 / math.log(2.0))
+            ref.append(max(0.0, float(terms.sum())))
         assert want.tobytes() == np.array(ref).tobytes()
         for row, error in zip(rows, errors):
             if error is not None:

@@ -84,21 +84,32 @@ class TestMinEntropyM1:
     def test_tiny_pi_keeps_the_remainder(self, rng):
         # The remainder must carry pi's precision: taken as 1 - (1 - pi) it
         # cancelled, was snapped to 0 at pi = 1e-12 (1.4e-12 bits instead of
-        # 4.1e-11) and was off by 1.5e-5 relative at pi = 3e-12.  The
-        # allowance covers the rounding of the step 1 - pi (up to 2**-54),
-        # which -x*log2(x) turns into about 8e-17 bits.
+        # 4.1e-11) and was off by 1.5e-5 relative at pi = 3e-12.  The step
+        # 1 - pi is rounded (up to 2**-54); both the reported bits and the
+        # entropy of the stored staircase take its term from pi instead.
         pis = np.concatenate([[1e-12, 3e-12, 1e-9], 10 ** rng.uniform(-12, -9, 60)])
         for n in (2, 5, 1000):
             for pi in pis:
                 result = sb.min_entropy(sb.SystemShape(n, 1, float(pi)))
                 exact = mp_min_entropy_m1(n, pi)
-                assert result.min_entropy_bits == pytest.approx(exact, rel=0, abs=2e-16)
+                assert result.min_entropy_bits == pytest.approx(exact, rel=2**-50, abs=0)
                 assert result.min_entropy_bits == pytest.approx(
                     sb.min_entropy_value(n, 1, float(pi)), rel=1e-12
                 )
                 stair = result.argmin_distribution.probs
                 assert stair[1] == float(pi)
                 assert sb.entropy(result.argmin_distribution) == result.min_entropy_bits
+
+    @pytest.mark.parametrize("n, m", [(13, 1), (5, 1), (9, 2), (10, 6), (11, 9)])
+    def test_not_above_the_maximum_at_the_ceiling(self, n, m):
+        # at the double (n-m)/n, above the rational one for these shapes,
+        # the staircase's remainder has no slot left; counted, it put
+        # H_min(13, 1) at 3.7004397181411246, above log2 13
+        pi = (n - m) / n
+        h_max = sb.max_entropy_value(n, m, pi)
+        assert sb.min_entropy_value(n, m, pi) <= h_max
+        assert sb.min_entropy(sb.SystemShape(n, m, pi)).min_entropy_bits <= h_max
+        assert sb.min_entropy_value(13, 1, 12 / 13) <= math.log2(13)
 
     def test_matches_general_assembly_exactly(self, rng):
         # forcing p_hat = 1 - pi through the generic construction must
@@ -216,13 +227,13 @@ class TestOneJunctionRule:
         # at (4, 2, 5e-324) the junction pi/2 rounds to 0: that point holds no
         # tail mass, and it scored 0 bits; the minimum is the junction pi/1
         shape = sb.SystemShape(4, 2, 5e-324)
-        want = 2 * float(entropy_terms(np.array([5e-324]))[0])
+        tail = 2 * float(entropy_terms(np.array([5e-324]))[0])
         result = sb.min_entropy(shape)
         assert 0.0 not in result.candidates.columns["p_hat"].tolist()
-        assert result.min_entropy_bits == want == sb.min_entropy_value(4, 2, 5e-324)
+        assert result.min_entropy_bits == sb.min_entropy_value(4, 2, 5e-324)
         assert math.fsum(result.argmin_distribution.probs[2:]) == 5e-324
-        # the exact value adds the head entry's 2*pi*log2(e), which rounds away
-        assert oracle_min_entropy(shape) - want == 3 * 5e-324
+        # the head entry's 2*pi*log2(e), taken through log1p, adds 3 ulps
+        assert result.min_entropy_bits == tail + 3 * 5e-324 == oracle_min_entropy(shape)
 
 
 class TestFewJunctionKernel:
@@ -407,7 +418,7 @@ class TestCandidateEntropyKernel:
             if pi <= 0.0:
                 continue
             p_hats = [c.p_hat for c in res.candidates]
-            kernel = _candidate_entropies(m, pi, p_hats)
+            kernel = _candidate_entropies(n, m, pi, p_hats)
             for p_hat, bits in zip(p_hats, kernel):
                 d = sb.assemble_min_candidate(shape, p_hat)
                 assert bits == pytest.approx(sb.entropy(d), abs=1e-12)
@@ -534,11 +545,11 @@ def reference_candidates(shape):
     """The candidate tuple :func:`min_entropy` built before it kept columns."""
     from selbounds.curves import _candidate_entropies
 
-    m, pi = shape.m, shape.pi
+    n, m, pi = shape.n, shape.m, shape.pi
     if pi == 0.0:
         return (sb.CandidateEvaluation(0.0, 0.0, shape),)
     p_hats = sb.candidate_set(shape) if m > 1 else np.array([1.0 - pi])
-    bits = _candidate_entropies(m, pi, p_hats)
+    bits = _candidate_entropies(n, m, pi, p_hats)
     return tuple(sb.CandidateEvaluation(float(p), float(b), shape) for p, b in zip(p_hats, bits))
 
 
@@ -556,7 +567,7 @@ def reference_curve(shape, samples):
     order = np.argsort(points, kind="stable")
     points = np.clip(points[order], lo, hi)
     copies, _ = _tail_split(pi, points)
-    bits = _candidate_entropies(m, pi, points)
+    bits = _candidate_entropies(n, m, pi, points)
     return [
         sb.CurveSample(float(p), float(b), (n - m) - int(c), bool(f))
         for p, b, c, f in zip(points, bits, copies, flags[order])
