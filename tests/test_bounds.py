@@ -228,7 +228,31 @@ def paper_figs_inputs(seed):
 
 
 class TestCertifiedWalk:
-    """The tight bounds take their certificates from few kernel calls."""
+    """The tight bounds are certificates, tight ones, from few kernel calls."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 42])
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_paper_figs_inputs(self, seed, bound):
+        ns, ms, hs = paper_figs_inputs(seed)
+        assert_side_tight(ns, ms, hs, getattr(inversion, f"_invert_{bound}")(ns, ms, hs), bound)
+
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_edge_entropies(self, rng, bound):
+        # near log2 n and down to the least subnormal, every shape in one call,
+        # as the sweep makes it: the certificates of one call per shape
+        rows = []
+        for n in (2, 3, 50, 3000, 34_220):
+            for m in {1, n - 1}:
+                top = math.log2(n)
+                near_top = [top - k * 1e-16 for k in range(11)] + [float(np.nextafter(top, 0.0))]
+                tiny = [1e-300, 5e-324, *(10 ** rng.uniform(-300, -1, 8))]
+                rows += [(n, m, h) for h in near_top + tiny]
+        ns, ms, hs = (np.array(c) for c in zip(*rows))
+        hs = np.clip(hs, 0.0, np.log2(ns))
+        got = getattr(inversion, f"_invert_{bound}")(ns, ms, hs)
+        assert_side_tight(ns, ms, hs, got, bound)
+        want = [getattr(sb.TightInverter(n, m), bound)(h) for n, m, h in zip(ns.tolist(), ms.tolist(), hs.tolist())]
+        assert got.tolist() == want
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -534,25 +558,35 @@ class TestAnalyticReference:
         assert peak < 8 * 2**20
 
 
-def assert_tight(ns, ms, hs, lb, ub):
-    """Each tight bound is as tight as the kernels' error bound allows.
+def assert_side_tight(ns, ms, hs, bound, side):
+    """Each ``side`` bound is its certificate, as tight as the kernels' error bound allows.
 
-    ``K(lb) >= h - 3*eps`` and ``K(ub) <= h + 3*eps`` (``eps`` of the
-    ``inversion`` docstring), unless the bound is 0 or the ceiling, or the
-    next double towards the crossing does not certify its side (no tighter
-    double does), or one within 4 ulps certifies the other side.
+    The certificate: ``K(lb) <= h - _MARGIN*eps`` or ``K(ub) >= h +
+    _MARGIN*eps`` (``eps`` of the ``inversion`` docstring), unless the
+    bound is 0 or the ceiling.  Tight: ``K(lb) >= h - 3*eps`` or ``K(ub) <=
+    h + 3*eps``, unless the bound is 0 or the ceiling, or the next double
+    towards the crossing does not certify its side (no tighter double
+    does), or one within 4 ulps certifies the other side.
     """
-    ns, ms, hs, lb, ub = np.broadcast_arrays(ns, ms, hs, lb, ub)
+    ns, ms, hs, bound = np.broadcast_arrays(ns, ms, hs, bound)
+    kernel, sign = (max_entropy_values, 1) if side == "lower" else (sb.min_entropy_values, -1)
     eps = inversion._kernel_error(hs)
     top = (ns - ms) / ns
-    for bound, kernel, sign in ((lb, max_entropy_values, 1), (ub, sb.min_entropy_values, -1)):
-        steps = bound.view(np.int64)[None, :] + sign * np.array([0, 1, 4])[:, None]
-        at = np.clip(steps, 0, top.view(np.int64)).view(float)
-        k = np.stack([kernel(ns, ms, x) for x in at]) - hs  # kernel minus h, signed outward
-        k = -k if sign == 1 else k
-        ok = ((k[0] <= 3 * eps) | (bound == 0.0) | (bound == top)
-              | (k[1] < 0.75 * eps) | (k[2] <= -0.75 * eps))
-        assert ok.all(), list(zip(ns[~ok], ms[~ok], hs[~ok], bound[~ok]))
+    end = (bound == 0.0) | (bound == top)
+    steps = bound.view(np.int64)[None, :] + sign * np.array([0, 1, 4])[:, None]
+    at = np.clip(steps, 0, top.view(np.int64)).view(float)
+    k = np.stack([kernel(ns, ms, x) for x in at]) - hs  # kernel minus h, signed outward
+    k = -k if sign == 1 else k
+    certified = end | (k[0] >= inversion._MARGIN * eps)
+    assert certified.all(), list(zip(ns[~certified], ms[~certified], hs[~certified], bound[~certified]))
+    ok = end | (k[0] <= 3 * eps) | (k[1] < 0.75 * eps) | (k[2] <= -0.75 * eps)
+    assert ok.all(), list(zip(ns[~ok], ms[~ok], hs[~ok], bound[~ok]))
+
+
+def assert_tight(ns, ms, hs, lb, ub):
+    """Both tight bounds pass :func:`assert_side_tight`."""
+    assert_side_tight(ns, ms, hs, lb, "lower")
+    assert_side_tight(ns, ms, hs, ub, "upper")
 
 
 class TestTightBoundsEncloseTheTrueInverse:
@@ -646,12 +680,6 @@ class TestTightBoundsEncloseTheTrueInverse:
         assert report.pi_observed == pytest.approx(2.0e-12, rel=1e-9)
         assert report.pi_lb_tight <= report.pi_observed <= report.pi_ub_tight
         self._check(dist.n, 1, h)
-
-    @pytest.mark.parametrize("seed", [1, 2, 42])
-    def test_paper_figs_inputs_are_tight(self, seed):
-        ns, ms, hs = paper_figs_inputs(seed)
-        assert_tight(ns, ms, hs, inversion._invert_lower(ns, ms, hs),
-                     inversion._invert_upper(ns, ms, hs))
 
 
 class TestTightBoundGrid:
