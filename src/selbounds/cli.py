@@ -29,6 +29,7 @@ from . import __version__
 from .core import (
     DEFAULT_TOLERANCE,
     FLAG_TEXT,
+    ColumnRows,
     SystemShape,
     csv_blocks,
     entropy,
@@ -99,13 +100,6 @@ def _emit(chunks: str | Iterable[str], out_path: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-@dataclasses.dataclass(frozen=True)
-class _Rows:
-    """A JSON array of objects, one per row of ``columns`` (key -> array)."""
-
-    columns: dict
-
-
 _INDENT = "  "
 
 
@@ -150,10 +144,10 @@ def _json_value(value, level: int):
     """Yield the text of ``value`` as ``json.dumps(indent=2)`` writes it at ``level``.
 
     Dict keys are strings.  A 1-D or 2-D array reads as the list of its
-    ``tolist()`` and ``_Rows`` as a list of one dict per row; both are
-    written in blocks.
+    ``tolist()`` and a ``ColumnRows`` as a list of one dict per row of its
+    columns; both are written in blocks.
     """
-    if isinstance(value, _Rows):
+    if isinstance(value, ColumnRows):
         columns = value.columns
         pad = "\n" + _INDENT * (level + 2)
         row = ("{" + ",".join(pad + json.dumps(key).replace("%", "%%") + ": %s" for key in columns)
@@ -425,7 +419,7 @@ def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
             "probs": dist.probs,
             "index_bound": result.index_bound,
             "argmin_index": result.argmin_index,
-            "candidates": _Rows(result.candidates.columns),
+            "candidates": result.candidates,
         }
     if args.format == "json":
         return _json_blocks(meta), None
@@ -438,11 +432,10 @@ def _cmd_extrema(args) -> tuple[str | Iterable[str], str | None]:
 
 def _cmd_curve(args) -> tuple[str | Iterable[str], str | None]:
     shape = SystemShape(args.n, args.m, args.pi)
-    columns = piecewise_curve(shape, args.samples).columns
+    samples = piecewise_curve(shape, args.samples)
     if args.format == "json":
-        return _json_blocks({
-            "n": shape.n, "m": shape.m, "pi": shape.pi, "samples": _Rows(columns),
-        }), None
+        return _json_blocks({"n": shape.n, "m": shape.m, "pi": shape.pi, "samples": samples}), None
+    columns = samples.columns
     return csv_blocks(",".join(columns) + "\n", list(columns.values()), CSV_BLOCK_ROWS), None
 
 
@@ -459,7 +452,7 @@ def _cmd_transform(args) -> tuple[str | Iterable[str], str | None]:
     if args.format == "json":
         return _json_blocks({
             **header,
-            "composites": _Rows({
+            "composites": ColumnRows(dict, {
                 "ids": ts.composite_index,
                 "probability": ts.dist.probs,
                 "in_selected_set": ts.in_selected,
@@ -489,8 +482,7 @@ def _cmd_sweep(args) -> tuple[str | Iterable[str], str | None]:
     if args.summary_out:
         Path(args.summary_out).write_text(summary_text, encoding="utf-8")
     if args.format == "json":
-        payload = {"records": [dataclasses.asdict(r) for r in records], "summary": summary}
-        return _json_blocks(payload), None
+        return _json_blocks({"records": records, "summary": summary}), None
     return records_to_csv(records), summary_text
 
 

@@ -1,4 +1,4 @@
-"""Validated probability distributions, entropy, and feasibility geometry.
+"""Validated probability distributions, entropy, feasibility geometry, and tables.
 
 Conventions used throughout the package:
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -437,3 +438,44 @@ def csv_blocks(head: str, columns, rows: int):
     for start in range(0, len(columns[0]), rows):
         block = slice(start, start + rows)
         yield "\n".join(map(",".join, zip(*(column(block) for column in cells)))) + "\n"
+
+
+class ColumnRows(Sequence):
+    """Read-only sequence of ``row`` objects backed by equal-length column arrays.
+
+    The package's one table type: sweep records, search candidates, curve
+    samples and transform composites.  Item ``i`` is ``row(**fixed,
+    **{name: column[i]})`` with each cell as a Python value, built on
+    access: ``n`` rows cost a few ``n``-length arrays, not ``n`` objects.
+    :attr:`columns` maps the field names to the arrays in field order, for
+    callers that read whole columns, such as the CSV and JSON writers; the
+    arrays are made read-only.  ``repr``, slices and ``==`` read as those of
+    the list of rows.
+    """
+
+    def __init__(self, row, columns: dict[str, np.ndarray], **fixed) -> None:
+        for column in columns.values():
+            column.setflags(write=False)
+        self.row = row
+        self.columns = columns
+        self.fixed = fixed
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        cells = {name: column[index].tolist() for name, column in self.columns.items()}
+        return self.row(**cells, **self.fixed)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(list(self))

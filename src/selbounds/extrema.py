@@ -35,12 +35,11 @@ The number of interior junctions is
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, SortedDistribution, SystemShape, built_internally
+from .core import DEFAULT_TOLERANCE, ColumnRows, SortedDistribution, SystemShape, built_internally
 from .curves import (
     _candidate_entropies,
     _index_bound,
@@ -157,42 +156,6 @@ def assemble_min_candidate(
         probs[m + copies : m + copies + 1] = remainder
     with built_internally("minimum-entropy candidate"):
         return SortedDistribution(probs)
-
-
-class ColumnRows(Sequence):
-    """Read-only sequence of ``row`` objects backed by equal-length column arrays.
-
-    Item ``i`` is ``row(**fixed, **{name: column[i]})`` with each cell as a
-    Python scalar, built on access: ``n`` candidates or curve points cost
-    a few ``n``-length arrays, not ``n`` objects.  :attr:`columns` maps the
-    field names to the arrays in field order, for callers that read whole
-    columns; the arrays are made read-only.  Two sequences are equal when
-    their items are.
-    """
-
-    def __init__(self, row, columns: dict[str, np.ndarray], **fixed) -> None:
-        for column in columns.values():
-            column.setflags(write=False)
-        self.row = row
-        self.columns = columns
-        self.fixed = fixed
-
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values())))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        cells = {name: column[index].item() for name, column in self.columns.items()}
-        return self.row(**cells, **self.fixed)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ data, never aborts.  It works on arrays: each shape's scenarios are drawn
 into row blocks (each scenario from its own seeded stream) and reduced to
 entropies and tail masses row by row; the analytic bounds take one call
 per shape, and each tight bound one search over every record of every
-shape.  The exact scan of the min-entropy polytope's vertices, in
-integers, and the exhaustive transform enumeration check the closed-form
-machinery without sharing its code.
+shape.  The records stay columns (a :class:`~selbounds.core.ColumnRows`)
+through the summary, the CSV and the JSON; a :class:`SweepRecord` is built
+only when one is read.  The exact scan of the min-entropy polytope's
+vertices, in integers, and the exhaustive transform enumeration check the
+closed-form machinery without sharing its code.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .core import (
     _DEFAULT_MAX_STATES,
     DEFAULT_TOLERANCE,
+    ColumnRows,
     SortedDistribution,
     SystemShape,
     built_internally,
@@ -62,6 +65,8 @@ SWEEP_CSV_HEADER = (
     "scenario_id,n,m,entropy_bits,pi_observed,"
     "pi_lb_analytic,pi_ub_analytic,pi_lb_tight,pi_ub_tight,violation"
 )
+#: The fields of :class:`SweepRecord`, in CSV column order.
+_FIELDS = tuple(SWEEP_CSV_HEADER.split(","))
 
 
 @dataclass(frozen=True)
@@ -237,12 +242,14 @@ def _observe_shape(config: SweepConfig, shape_index: int) -> np.ndarray:
 
 def run_sweep(
     config: SweepConfig, tol: float = DEFAULT_TOLERANCE
-) -> tuple[list[SweepRecord], dict]:
+) -> tuple[ColumnRows, dict]:
     """Execute the sweep; returns (records sorted by shape/scenario, summary).
 
-    A failed scenario, a failed analytic call (which fails its shape) and a
-    failed tight search (which fails every record) give NaN records
-    flagged as violations; the sweep itself always completes.
+    The records are the sweep's columns as a :class:`ColumnRows` of
+    :class:`SweepRecord`, each built only when it is read.  A failed
+    scenario, a failed analytic call (which fails its shape) and a failed
+    tight search (which fails every record) give NaN records flagged as
+    violations; the sweep itself always completes.
     """
     shapes, count = config.shapes, config.scenarios_per_shape
     h, pi_obs = np.concatenate([_observe_shape(config, i) for i in range(len(shapes))], axis=1)
@@ -267,93 +274,86 @@ def run_sweep(
     violation = ~((bounds[0] - tol <= pi_obs) & (pi_obs <= bounds[1] + tol))
     ids = np.tile(np.arange(count), len(shapes))
     columns = (ids, ns, ms, h, pi_obs, *bounds, violation)
-    records = [SweepRecord(*row) for row in zip(*(c.tolist() for c in columns))]
+    records = ColumnRows(SweepRecord, dict(zip(_FIELDS, columns)))
     return records, summarize(records)
 
 
-def _median(values: list[float]) -> float:
-    """``np.median`` of a non-empty list: the middle value, or the mean of the middle pair.
+def _columns(records: ColumnRows | list[SweepRecord]) -> dict[str, np.ndarray]:
+    """The sweep's columns of ``records``: a :class:`ColumnRows`' own, or a list of records'."""
+    if isinstance(records, ColumnRows):
+        return records.columns
+    return {name: np.asarray([getattr(r, name) for r in records]) for name in _FIELDS}
 
-    Sorting in Python keeps a sweep from importing ``numpy.ma``, which
-    ``np.median`` loads.  As there, a NaN anywhere makes the median NaN,
-    and the sum starts from 0.0, so a -0.0 median reads 0.0.
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty array: the middle value, or the mean of the middle pair.
+
+    Taking the middle of ``np.sort`` keeps a sweep from importing
+    ``numpy.ma``, which ``np.median`` loads.  As there, a NaN anywhere
+    (sorted last) makes the median NaN, and the sum starts from 0.0, so a
+    -0.0 median reads 0.0.
     """
-    if any(math.isnan(v) for v in values):
+    ordered = np.sort(values).tolist()
+    if math.isnan(ordered[-1]):
         return math.nan
-    ordered = sorted(values)
     mid = len(ordered) // 2
     if len(ordered) % 2:
         return float(0.0 + ordered[mid])
     return float((0.0 + ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def _gap_block(gaps_by_regime: dict[str, list[float]]) -> dict:
+def _gap_block(gaps: np.ndarray, wide: np.ndarray) -> dict:
+    """Count, mean and median of the finite ``gaps`` of each regime (``wide``: ``m >= n/2``)."""
     block = {}
-    for regime in ("m_lt_half", "m_ge_half"):
-        gaps = gaps_by_regime.get(regime, [])
-        finite = [g for g in gaps if math.isfinite(g)]
+    for regime, rows in (("m_lt_half", ~wide), ("m_ge_half", wide)):
+        finite = gaps[rows][np.isfinite(gaps[rows])]
         block[regime] = {
-            "records": len(gaps),
-            "mean": float(np.mean(finite)) if finite else None,
-            "median": _median(finite) if finite else None,
+            "records": int(np.count_nonzero(rows)),
+            "mean": float(np.mean(finite)) if finite.size else None,
+            "median": _median(finite) if finite.size else None,
         }
     return block
 
 
-def summarize(records: list[SweepRecord]) -> dict:
-    """Aggregate violation counts and bound-gap statistics.
+def summarize(records: ColumnRows | list[SweepRecord]) -> dict:
+    """Aggregate violation counts and bound-gap statistics, from the records' columns.
 
-    Gaps are reported separately for the wide-selection regime
-    (``m >= n/2``, where the analytic bounds are tightest) and the narrow
-    one, and per shape.
+    ``records`` is :func:`run_sweep`'s :class:`ColumnRows` or a list of
+    :class:`SweepRecord`.  Gaps are reported separately for the
+    wide-selection regime (``m >= n/2``, where the analytic bounds are
+    tightest) and the narrow one, and per shape, over the records whose
+    entropy is finite.
     """
-    analytic: dict[str, list[float]] = {"m_lt_half": [], "m_ge_half": []}
-    tight: dict[str, list[float]] = {"m_lt_half": [], "m_ge_half": []}
-    per_shape: dict[tuple[int, int], dict[str, list[float]]] = {}
-    violations = 0
-    failures = 0
-    for rec in records:
-        regime = "m_ge_half" if 2 * rec.m >= rec.n else "m_lt_half"
-        if rec.violation:
-            violations += 1
-        if not math.isfinite(rec.entropy_bits):
-            failures += 1
-            continue
-        ga = rec.pi_ub_analytic - rec.pi_lb_analytic
-        gt = rec.pi_ub_tight - rec.pi_lb_tight
-        analytic[regime].append(ga)
-        tight[regime].append(gt)
-        bucket = per_shape.setdefault((rec.n, rec.m), {"analytic": [], "tight": []})
-        bucket["analytic"].append(ga)
-        bucket["tight"].append(gt)
+    c = _columns(records)
+    done = np.isfinite(c["entropy_bits"])
+    ns, ms = c["n"][done], c["m"][done]
+    analytic = (c["pi_ub_analytic"] - c["pi_lb_analytic"])[done]
+    tight = (c["pi_ub_tight"] - c["pi_lb_tight"])[done]
     shapes_out = []
-    for (n, m), bucket in sorted(per_shape.items()):
-        shapes_out.append(
-            {
-                "n": n,
-                "m": m,
-                "regime": "m_ge_half" if 2 * m >= n else "m_lt_half",
-                "mean_gap_analytic": float(np.mean(bucket["analytic"])),
-                "median_gap_analytic": _median(bucket["analytic"]),
-                "mean_gap_tight": float(np.mean(bucket["tight"])),
-                "median_gap_tight": _median(bucket["tight"]),
-            }
-        )
+    for n, m in sorted(set(zip(ns.tolist(), ms.tolist()))):
+        rows = (ns == n) & (ms == m)
+        a, t = analytic[rows], tight[rows]
+        shapes_out.append({
+            "n": n, "m": m, "regime": "m_ge_half" if 2 * m >= n else "m_lt_half",
+            "mean_gap_analytic": float(np.mean(a)), "median_gap_analytic": _median(a),
+            "mean_gap_tight": float(np.mean(t)), "median_gap_tight": _median(t),
+        })
+    wide = 2 * ms >= ns
     return {
         "total": len(records),
-        "violations": violations,
-        "failures": failures,
+        "violations": int(np.count_nonzero(c["violation"])),
+        "failures": int(np.count_nonzero(~done)),
         "gap_stats": {
-            "analytic": _gap_block(analytic),
-            "tight": _gap_block(tight),
+            "analytic": _gap_block(analytic, wide),
+            "tight": _gap_block(tight, wide),
             "per_shape": shapes_out,
         },
     }
 
 
-def records_to_csv(records: list[SweepRecord]) -> str:
-    """Render sweep records as CSV (stable header, 12 significant digits)."""
-    columns = [[getattr(r, name) for r in records] for name in SWEEP_CSV_HEADER.split(",")]
+def records_to_csv(records: ColumnRows | list[SweepRecord]) -> str:
+    """Render sweep records, columns or a list, as CSV (stable header, 12 significant digits)."""
+    columns = list(_columns(records).values())
     return "".join(csv_blocks(SWEEP_CSV_HEADER + "\n", columns, len(records) or 1))
 
 

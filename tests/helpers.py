@@ -392,3 +392,49 @@ def reference_sweep_shape(config, shape_index, tol):
         violation = not (lb - tol <= pi_obs <= ub + tol)
         out.append(oracle.SweepRecord(scenario_id, n, m, h, pi_obs, lb, ub, lt, ut, violation))
     return out
+
+
+def reference_summary(records):
+    """The sweep summary of a list of records, record by record, with ``np.median``."""
+    gaps = {kind: {"m_lt_half": [], "m_ge_half": []} for kind in ("analytic", "tight")}
+    per_shape = {}
+    for r in records:
+        if not math.isfinite(r.entropy_bits):
+            continue
+        regime = "m_ge_half" if 2 * r.m >= r.n else "m_lt_half"
+        bucket = per_shape.setdefault((r.n, r.m), {"analytic": [], "tight": []})
+        for kind, gap in (("analytic", r.pi_ub_analytic - r.pi_lb_analytic),
+                          ("tight", r.pi_ub_tight - r.pi_lb_tight)):
+            gaps[kind][regime].append(gap)
+            bucket[kind].append(gap)
+
+    def block(by_regime):
+        out = {}
+        for regime, values in by_regime.items():
+            finite = [g for g in values if math.isfinite(g)]
+            out[regime] = {
+                "records": len(values),
+                "mean": float(np.mean(finite)) if finite else None,
+                "median": float(np.median(finite)) if finite else None,
+            }
+        return out
+
+    return {
+        "total": len(records),
+        "violations": sum(bool(r.violation) for r in records),
+        "failures": sum(not math.isfinite(r.entropy_bits) for r in records),
+        "gap_stats": {
+            "analytic": block(gaps["analytic"]),
+            "tight": block(gaps["tight"]),
+            "per_shape": [
+                {
+                    "n": n, "m": m, "regime": "m_ge_half" if 2 * m >= n else "m_lt_half",
+                    "mean_gap_analytic": float(np.mean(b["analytic"])),
+                    "median_gap_analytic": float(np.median(b["analytic"])),
+                    "mean_gap_tight": float(np.mean(b["tight"])),
+                    "median_gap_tight": float(np.median(b["tight"])),
+                }
+                for (n, m), b in sorted(per_shape.items())
+            ],
+        },
+    }

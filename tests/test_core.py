@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import selbounds as sb
 from helpers import mp_entropy
-from selbounds.core import entropy_rows, entropy_terms, sorted_rows
+from selbounds.core import ColumnRows, entropy_rows, entropy_terms, sorted_rows
 
 weight_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -307,3 +307,31 @@ class TestOverflowingTotal:
         assert ok.all()
         assert probs[0].tolist() == [0.4, 0.4, 0.2]
         assert probs[1].tobytes() == sb.make_distribution([3.0, 1.0, 1.0]).probs.tobytes()
+
+
+class TestColumnRows:
+    """The one table type reads as the list of its rows, each built on access."""
+
+    @pytest.fixture(params=["sweep records", "candidates"])
+    def table(self, request):
+        if request.param == "sweep records":
+            return sb.run_sweep(sb.SweepConfig(((6, 2), (9, 9)), 3, 1))[0]
+        return sb.min_entropy(sb.SystemShape(15, 5, 0.4)).candidates
+
+    def test_reads_as_the_list_of_rows(self, table):
+        rows = list(table)
+        assert isinstance(table, ColumnRows) and len(rows) == len(table) > 3
+        assert all(type(row) is table.row for row in rows)
+        assert repr(table) == repr(rows)
+        assert table == rows and rows == table and table == table[:]
+        assert table != rows[:-1] and table != rows[::-1]
+        assert table[1:3] == rows[1:3] and type(table[1:3]) is list
+        assert table[::-2] == rows[::-2] and table[-1] == rows[-1]
+        with pytest.raises(IndexError):
+            table[len(rows)]
+
+    def test_columns_are_read_only(self, table):
+        for column in table.columns.values():
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[1]

@@ -18,15 +18,15 @@ from hypothesis import strategies as st
 
 import selbounds as sb
 import selbounds.cli as cli
-from selbounds.cli import _Rows, main
+from selbounds.cli import main
+from selbounds.core import ColumnRows
 from selbounds.rng import derive_rng
 
 
 def plain(doc):
-    """``doc`` with every array and ``_Rows`` as the lists ``json`` can write."""
-    if isinstance(doc, _Rows):
-        columns = {key: plain(column) for key, column in doc.columns.items()}
-        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+    """``doc`` with every array and ``ColumnRows`` as the lists ``json`` can write."""
+    if isinstance(doc, ColumnRows):  # its rows, each built on access
+        return [plain(row) for row in doc]
     if isinstance(doc, np.ndarray):
         return doc.tolist()
     if isinstance(doc, dict):
@@ -75,10 +75,10 @@ def _columns(draw, rows=None):
 
 @st.composite
 def _rows(draw):
-    """``_Rows`` of one to four equal-length columns."""
+    """``ColumnRows`` of dicts over one to four equal-length columns."""
     rows = draw(_ROW_COUNT)
     keys = draw(st.lists(st.text(), min_size=1, max_size=4, unique=True))
-    return _Rows({key: draw(_columns(rows)) for key in keys})
+    return ColumnRows(dict, {key: draw(_columns(rows)) for key in keys})
 
 
 _docs = st.recursive(
@@ -94,7 +94,7 @@ _docs = st.recursive(
 
 @given(_docs, st.integers(min_value=1, max_value=4))
 @example({"a": [], "b": {}, "c": np.zeros(0), "d": ["\"\\\né퟿\x00"]}, 1)
-@example({"%s": _Rows({"%d": np.arange(7), "x": np.ones((7, 2), dtype=np.int64)})}, 2)
+@example({"%s": ColumnRows(dict, {"%d": np.arange(7), "x": np.ones((7, 2), dtype=np.int64)})}, 2)
 @example([float("nan"), np.array([math.inf, -math.inf, -0.0, 5e-324, 1.7e308]), 10**30], 2)
 @settings(max_examples=400, deadline=None)
 def test_writer_matches_json_dumps(doc, block_rows):

@@ -9,7 +9,9 @@ from mpmath import mpf
 
 import selbounds as sb
 import selbounds.oracle as oracle_mod
-from helpers import mp_entropy, mp_h_min, mp_log2, reference_sweep_shape
+from helpers import mp_entropy, mp_h_min, mp_log2, reference_summary, reference_sweep_shape
+from selbounds.cli import main
+from selbounds.core import ColumnRows
 
 
 class TestSampling:
@@ -219,6 +221,58 @@ class TestSweep:
         assert len(nan_rows) == 1 and nan_rows[0].violation
         text = sb.records_to_csv(records)
         assert "nan" in text
+
+
+class TestSweepColumns:
+    """The sweep's records stay columns through the summary, the CSV and the JSON."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli_sweep_builds_no_records(self, monkeypatch, capsys, fmt):
+        built = []
+        init = oracle_mod.SweepRecord.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod.SweepRecord, "__init__", counted)
+        assert main(["sweep", "--paper-figs", "--seed", "1", "--format", fmt]) == 0
+        assert capsys.readouterr().out.count("scenario_id") == (1 if fmt == "csv" else 800)
+        assert built == []
+        records, _ = sb.run_sweep(sb.SweepConfig(((6, 2),), 2, 1))
+        assert records[1].scenario_id == 1 and len(built) == 1  # the patch counts
+
+    @pytest.mark.parametrize("fail_calls", [(), (1, 17, 30)])
+    def test_a_list_of_records_reads_as_the_columns(self, monkeypatch, fail_calls):
+        # (40, 7) lies above the state cap, so all its records are NaN; (8, 4)
+        # sits on the regime boundary m = n/2; (6, 2) appears twice, so its
+        # per-shape gaps span two blocks of records
+        monkeypatch.setenv("SELBOUNDS_MAX_STATES", "35")
+        real = oracle_mod._draw_weights
+        calls = itertools.count()
+
+        def flaky(n, sampler, rng):
+            if next(calls) in fail_calls:
+                raise RuntimeError("injected")
+            return real(n, sampler, rng)
+
+        monkeypatch.setattr(oracle_mod, "_draw_weights", flaky)
+        config = sb.SweepConfig(((6, 2), (9, 9), (40, 7), (8, 4), (6, 2)), 12, 11,
+                                sb.SamplerSpec("spiky", 0.2))
+        records, summary = sb.run_sweep(config)
+        rows = list(records)
+        assert all(type(r) is sb.SweepRecord for r in rows)
+        assert summary["failures"] == 12 + len(fail_calls)
+        # repr compares floats bit for bit, NaN equal to NaN
+        assert repr(sb.summarize(rows)) == repr(summary) == repr(reference_summary(rows))
+        assert sb.records_to_csv(rows) == sb.records_to_csv(records)
+
+    def test_no_records(self):
+        records, _ = sb.run_sweep(sb.SweepConfig(((6, 2),), 3, 1))
+        empty = ColumnRows(sb.SweepRecord, {k: v[:0] for k, v in records.columns.items()})
+        for table in ([], empty):
+            assert sb.summarize(table) == reference_summary([])
+            assert sb.records_to_csv(table) == oracle_mod.SWEEP_CSV_HEADER + "\n"
 
 
 _EDGE_GAPS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308, -1.7e308]
